@@ -41,13 +41,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-use huff_core::frame;
-use huff_core::integrity::{DecompressOptions, RecoveryMode, Verify};
+use huff_core::container;
 use huff_core::metrics;
 use huff_core::metrics::latency::LatencyHistogram;
 use huff_core::serve::{ChaosConfig, Completion, Engine, EngineConfig, Outcome, Request, Response};
 use huff_core::slo::Objective;
-use huff_core::{archive, DecoderKind};
 
 use crate::{symbols, CliError, CmdResult, USAGE};
 
@@ -328,19 +326,7 @@ fn error_body(error: &str, reason: &str, trace_id: &str) -> Vec<u8> {
 /// one byte when the header cannot be read (the engine will surface the
 /// real error).
 fn symbol_width(bytes: &[u8]) -> symbols::SymbolWidth {
-    let b = if frame::is_frame(bytes) {
-        frame::parse(bytes, Verify::None).map(|i| i.symbol_bytes).unwrap_or(1)
-    } else if huff_core::tune::is_raw(bytes) {
-        huff_core::tune::raw_info(bytes).map(|(w, _)| w).unwrap_or(1)
-    } else {
-        let opts = DecompressOptions {
-            verify: Verify::None,
-            mode: RecoveryMode::BestEffort,
-            sentinel: u16::MAX,
-            decoder: DecoderKind::Serial,
-        };
-        archive::deserialize_with(bytes, &opts).map(|p| p.symbol_bytes).unwrap_or(1)
-    };
+    let b = container::info(bytes).map(|i| i.symbol_bytes).unwrap_or(1);
     symbols::SymbolWidth::from_bytes(b).unwrap_or(symbols::SymbolWidth::U8)
 }
 

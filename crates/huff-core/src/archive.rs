@@ -42,6 +42,7 @@
 //! compatibility testing and interop with older readers.
 
 use crate::codebook::{self, CanonicalCodebook};
+use crate::container::{self, Kind};
 use crate::decode;
 use crate::encode::{self, BreakingStrategy, ChunkedStream, MergeConfig};
 use crate::error::{HuffError, Result};
@@ -51,11 +52,11 @@ use crate::integrity::{
 };
 use crate::seek::ChunkIndex;
 use crate::sparse::SparseOutliers;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use std::ops::Range;
 
-const MAGIC_V1: &[u8; 4] = b"RSH1";
-const MAGIC_V2: &[u8; 4] = b"RSH2";
+pub(crate) const MAGIC_V1: &[u8; 4] = b"RSH1";
+pub(crate) const MAGIC_V2: &[u8; 4] = b"RSH2";
 
 /// Header flags bit (byte 7): a seek-index trailer follows the payload.
 pub const FLAG_SEEK_INDEX: u8 = 1;
@@ -148,17 +149,21 @@ pub fn decompress(archive: &[u8]) -> Result<Vec<u16>> {
 /// recovered, damaged regions are filled with `opts.sentinel`, and the
 /// report lists what was lost. Header damage is fatal in both modes.
 ///
-/// Multi-shard frames ([`crate::frame`], magic `RSHM`) are dispatched to
-/// the frame decoder, and store-raw containers ([`crate::tune`], magic
-/// `RSHR`) to the raw decoder, so this is the single entry point for all
-/// three formats.
+/// This is the single entry point for all three container formats
+/// ([`container::sniff`]): multi-shard frames ([`crate::frame`], magic
+/// `RSHM`) go to the frame decoder, store-raw containers (magic `RSHR`)
+/// to the raw decoder.
 pub fn decompress_with(archive: &[u8], opts: &DecompressOptions) -> Result<Recovered> {
-    if crate::frame::is_frame(archive) {
-        return crate::frame::decompress_with(archive, opts);
+    match container::sniff(archive)? {
+        Kind::Archive => decompress_archive(archive, opts),
+        Kind::Frame => crate::frame::decompress_with(archive, opts),
+        Kind::Raw => container::decompress_raw(archive, opts),
     }
-    if crate::tune::is_raw(archive) {
-        return crate::tune::decompress_raw_with(archive, opts);
-    }
+}
+
+/// [`decompress_with`] for a bare RSH1/RSH2 archive; a frame's shards
+/// decode through here, so a shard body is never re-dispatched.
+pub(crate) fn decompress_archive(archive: &[u8], opts: &DecompressOptions) -> Result<Recovered> {
     let parsed = deserialize_with(archive, opts)?;
     let recovered = match opts.mode {
         RecoveryMode::Strict => {
@@ -193,7 +198,8 @@ pub fn decompress_with(archive: &[u8], opts: &DecompressOptions) -> Result<Recov
 /// `damaged_chunks` lists every chunk with a failing payload checksum
 /// (with the symbol ranges that would be lost to best-effort recovery).
 /// RSH1 archives carry no checksums, so they verify clean whenever they
-/// parse.
+/// parse. Frames and raw containers are dispatched like
+/// [`decompress_with`].
 ///
 /// ```
 /// use huff_core::archive::{compress, layout, verify, CompressOptions};
@@ -213,12 +219,15 @@ pub fn decompress_with(archive: &[u8], opts: &DecompressOptions) -> Result<Recov
 /// ```
 pub fn verify(archive: &[u8]) -> Result<RecoveryReport> {
     crate::metrics::registry::global().record_verify();
-    if crate::frame::is_frame(archive) {
-        return crate::frame::verify(archive);
+    match container::sniff(archive)? {
+        Kind::Archive => verify_archive(archive),
+        Kind::Frame => crate::frame::verify(archive),
+        Kind::Raw => container::verify_raw(archive),
     }
-    if crate::tune::is_raw(archive) {
-        return crate::tune::verify_raw(archive);
-    }
+}
+
+/// [`verify`] for a bare RSH1/RSH2 archive (a frame's shard body).
+pub(crate) fn verify_archive(archive: &[u8]) -> Result<RecoveryReport> {
     let opts = DecompressOptions { mode: RecoveryMode::BestEffort, ..Default::default() };
     let parsed = deserialize_with(archive, &opts)?;
     Ok(decode::chunked::damage_report(&parsed.stream, &parsed.chunk_damage))
@@ -362,141 +371,27 @@ fn bad(msg: impl Into<String>) -> HuffError {
 /// in strict mode; in best-effort mode the missing tail chunks are
 /// marked damaged.
 pub fn deserialize_with(archive: &[u8], opts: &DecompressOptions) -> Result<Parsed> {
-    let mut buf = Bytes::copy_from_slice(archive);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(bad(format!("truncated: need {n} more bytes")))
-        } else {
-            Ok(())
-        }
-    };
-    // Offset of the next unread byte within `archive`.
-    let pos = |buf: &Bytes| archive.len() - buf.remaining();
-
-    need(&buf, 16)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    let version: u8 = match &magic {
-        m if m == MAGIC_V1 => 1,
-        m if m == MAGIC_V2 => 2,
-        _ => return Err(bad("bad magic")),
-    };
-    let symbol_bytes = buf.get_u8();
-    let magnitude = u32::from(buf.get_u8());
-    let reduction = u32::from(buf.get_u8());
-    let _flags = buf.get_u8();
-    if !(2..=24).contains(&magnitude) || reduction == 0 || reduction >= magnitude {
-        return Err(bad(format!("bad config M={magnitude} r={reduction}")));
-    }
-    let num_symbols_u64 = buf.get_u64_le();
-    let num_symbols: usize =
-        num_symbols_u64.try_into().map_err(|_| bad("symbol count exceeds address space"))?;
-    let config = MergeConfig::new(magnitude, reduction);
-
-    need(&buf, 4)?;
-    let cb_len = buf.get_u32_le() as usize;
-    need(&buf, cb_len)?;
-    // `need` bounds cb_len by the remaining buffer, so the allocation is
-    // capped by the archive's own size.
-    let mut lengths = Vec::with_capacity(cb_len);
-    for _ in 0..cb_len {
-        lengths.push(u32::from(buf.get_u8()));
-    }
-    // The empty input's archive stores no codebook at all; a missing
-    // codebook with symbols present is still structural damage.
-    let book = if cb_len == 0 && num_symbols == 0 {
-        CanonicalCodebook::empty()
-    } else {
-        CanonicalCodebook::from_lengths(&lengths).map_err(|e| bad(format!("codebook: {e}")))?
-    };
-
-    need(&buf, 4)?;
-    let n_chunks = buf.get_u32_le() as usize;
-    let chunk_table_bytes =
-        n_chunks.checked_mul(8).ok_or_else(|| bad("chunk table size overflow"))?;
-    need(&buf, chunk_table_bytes)?;
-    let expected_chunks = num_symbols.div_ceil(config.chunk_symbols());
-    if n_chunks != expected_chunks {
-        return Err(bad(format!("chunk count {n_chunks} inconsistent with {num_symbols} symbols")));
-    }
-    let mut chunk_bit_lens = Vec::with_capacity(n_chunks);
-    for _ in 0..n_chunks {
-        chunk_bit_lens.push(buf.get_u64_le());
-    }
+    let hdr = parse_header(archive, opts.verify)?;
+    let n_chunks = hdr.n_chunks;
+    let chunk_bit_lens: Vec<u64> = (0..n_chunks).map(|i| hdr.chunk_bit_len(archive, i)).collect();
     let mut chunk_bit_offsets = Vec::with_capacity(n_chunks);
     let mut acc = 0u64;
     for &l in &chunk_bit_lens {
         chunk_bit_offsets.push(acc);
         acc = acc.checked_add(l).ok_or_else(|| bad("chunk bit lengths overflow"))?;
     }
-
-    need(&buf, 4)?;
-    let n_outliers = buf.get_u32_le() as usize;
-    let unit_syms = config.unit_symbols().max(1);
-    let mut outliers = SparseOutliers::new();
-    let mut last_idx: Option<u64> = None;
-    for _ in 0..n_outliers {
-        need(&buf, 10)?;
-        let idx = buf.get_u64_le();
-        if last_idx.is_some_and(|l| idx <= l) {
-            return Err(bad("outlier units out of order"));
-        }
-        last_idx = Some(idx);
-        let count = buf.get_u16_le() as usize;
-        let unit_base = (idx as usize)
-            .checked_mul(unit_syms)
-            .filter(|&b| b < num_symbols)
-            .ok_or_else(|| bad(format!("outlier unit {idx} beyond {num_symbols} symbols")))?;
-        let expected = unit_syms.min(num_symbols - unit_base);
-        if count != expected {
-            return Err(bad(format!(
-                "outlier unit {idx} stores {count} symbols, unit holds {expected}"
-            )));
-        }
-        need(&buf, count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?)?;
-        let syms: Vec<u16> = (0..count).map(|_| buf.get_u16_le()).collect();
-        outliers.push(idx, &syms);
-    }
-
-    need(&buf, 8)?;
-    let total_bits = buf.get_u64_le();
+    let total_bits = hdr.total_bits;
     if total_bits != acc {
         return Err(bad(format!("payload length mismatch: header {total_bits}, chunks {acc}")));
     }
 
-    // Version 2: chunk CRC table + header CRC, then the payload.
-    let mut chunk_crcs: Option<Vec<u32>> = None;
-    if version == 2 {
-        let crc_table_bytes =
-            n_chunks.checked_mul(4).ok_or_else(|| bad("checksum table size overflow"))?;
-        need(&buf, crc_table_bytes + 4)?;
-        let mut crcs = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            crcs.push(buf.get_u32_le());
-        }
-        let header_end = pos(&buf);
-        let stored_header_crc = buf.get_u32_le();
-        if opts.verify != Verify::None {
-            let got = crc32(&archive[..header_end]);
-            if got != stored_header_crc {
-                return Err(HuffError::ChecksumMismatch {
-                    section: Section::Header,
-                    chunk: None,
-                    expected: stored_header_crc,
-                    got,
-                });
-            }
-        }
-        chunk_crcs = Some(crcs);
-    }
-
-    let payload_bytes = (total_bits as usize).div_ceil(8);
+    let payload_bytes = hdr.payload_bytes();
+    let avail = hdr.payload_avail(archive);
     let best_effort = opts.mode == RecoveryMode::BestEffort;
-    if !best_effort {
-        need(&buf, payload_bytes)?;
+    if !best_effort && avail < payload_bytes {
+        return Err(bad(format!("truncated: need {payload_bytes} more bytes")));
     }
-    let avail = payload_bytes.min(buf.remaining());
-    let mut bytes = buf.copy_to_bytes(avail).to_vec();
+    let mut bytes = archive[hdr.payload_start..hdr.payload_start + avail].to_vec();
     let truncated = avail < payload_bytes;
     if truncated {
         bytes.resize(payload_bytes, 0);
@@ -504,19 +399,17 @@ pub fn deserialize_with(archive: &[u8], opts: &DecompressOptions) -> Result<Pars
 
     // Per-chunk verification.
     let mut chunk_damage = vec![false; n_chunks];
-    if version == 2 && opts.verify == Verify::Full {
-        let crcs = chunk_crcs.as_ref().expect("v2 always has chunk crcs");
+    if hdr.version == 2 && opts.verify == Verify::Full {
         for ci in 0..n_chunks {
             let span = chunk_byte_span(chunk_bit_offsets[ci], chunk_bit_lens[ci]);
-            let damaged = span.end > avail || crc32(&bytes[span]) != crcs[ci];
-            if damaged {
+            let (expected, got) = (hdr.chunk_crc(archive, ci), crc32(&bytes[span.clone()]));
+            if span.end > avail || got != expected {
                 if !best_effort {
-                    let span = chunk_byte_span(chunk_bit_offsets[ci], chunk_bit_lens[ci]);
                     return Err(HuffError::ChecksumMismatch {
                         section: Section::Payload,
                         chunk: Some(ci as u32),
-                        expected: crcs[ci],
-                        got: crc32(&bytes[span]),
+                        expected,
+                        got,
                     });
                 }
                 chunk_damage[ci] = true;
@@ -535,136 +428,65 @@ pub fn deserialize_with(archive: &[u8], opts: &DecompressOptions) -> Result<Pars
 
     Ok(Parsed {
         stream: ChunkedStream {
-            config,
+            config: hdr.config,
             bytes,
             chunk_bit_lens,
             chunk_bit_offsets,
             total_bits,
-            num_symbols,
-            outliers,
+            num_symbols: hdr.num_symbols,
+            outliers: hdr.outliers,
         },
-        book,
-        symbol_bytes,
-        version,
+        book: hdr.book,
+        symbol_bytes: hdr.symbol_bytes,
+        version: hdr.version,
         chunk_damage,
     })
 }
 
 /// Map an archive's bytes to container sections.
 ///
-/// Walks the structure without building a codebook or verifying
-/// checksums; used by the fault-injection harness to aim faults at
-/// specific sections. The returned ranges tile `[0, archive.len())` in
-/// order. Fails on archives too malformed to walk.
+/// Reads the header with the same walker as every decode path, without
+/// verifying checksums; used by the fault-injection harness to aim
+/// faults at specific sections. The returned ranges tile
+/// `[0, archive.len())` in order. Fails on archives whose header does not
+/// parse.
 pub fn layout(archive: &[u8]) -> Result<Vec<(Section, Range<usize>)>> {
-    let mut buf = Bytes::copy_from_slice(archive);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(bad(format!("truncated: need {n} more bytes")))
-        } else {
-            Ok(())
-        }
-    };
-    let pos = |buf: &Bytes| archive.len() - buf.remaining();
-
-    need(&buf, 16)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    let version: u8 = match &magic {
-        m if m == MAGIC_V1 => 1,
-        m if m == MAGIC_V2 => 2,
-        _ => return Err(bad("bad magic")),
-    };
-    let mut sections = vec![(Section::Magic, 0..4)];
-    buf.advance(12); // symbol_bytes, magnitude, reduction, pad, num_symbols
-    sections.push((Section::Config, 4..16));
-
-    let start = pos(&buf);
-    need(&buf, 4)?;
-    let cb_len = buf.get_u32_le() as usize;
-    need(&buf, cb_len)?;
-    buf.advance(cb_len);
-    sections.push((Section::Codebook, start..pos(&buf)));
-
-    let start = pos(&buf);
-    need(&buf, 4)?;
-    let n_chunks = buf.get_u32_le() as usize;
-    let table = n_chunks.checked_mul(8).ok_or_else(|| bad("chunk table size overflow"))?;
-    need(&buf, table)?;
-    buf.advance(table);
-    sections.push((Section::ChunkTable, start..pos(&buf)));
-
-    let start = pos(&buf);
-    need(&buf, 4)?;
-    let n_outliers = buf.get_u32_le() as usize;
-    for _ in 0..n_outliers {
-        need(&buf, 10)?;
-        buf.advance(8);
-        let count = buf.get_u16_le() as usize;
-        let n = count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?;
-        need(&buf, n)?;
-        buf.advance(n);
+    let hdr = parse_header(archive, Verify::None)?;
+    let codebook_end = hdr.chunk_table.start - 4;
+    let total_bits_at = hdr.crc_table.as_ref().map_or(hdr.payload_start, |t| t.start) - 8;
+    let mut sections = vec![
+        (Section::Magic, 0..4),
+        (Section::Config, 4..16),
+        (Section::Codebook, 16..codebook_end),
+        (Section::ChunkTable, codebook_end..hdr.chunk_table.end),
+        (Section::Outliers, hdr.chunk_table.end..total_bits_at),
+        (Section::TotalBits, total_bits_at..total_bits_at + 8),
+    ];
+    if let Some(crcs) = &hdr.crc_table {
+        sections.push((Section::Checksums, crcs.start..hdr.payload_start));
     }
-    sections.push((Section::Outliers, start..pos(&buf)));
-
-    let start = pos(&buf);
-    need(&buf, 8)?;
-    let total_bits = buf.get_u64_le();
-    sections.push((Section::TotalBits, start..pos(&buf)));
-
-    if version == 2 {
-        let start = pos(&buf);
-        let table = n_chunks.checked_mul(4).ok_or_else(|| bad("checksum table size overflow"))?;
-        need(&buf, table + 4)?;
-        buf.advance(table + 4);
-        sections.push((Section::Checksums, start..pos(&buf)));
-    }
-
     // The payload's extent is computed from total_bits; anything after it
     // is the optional seek-index trailer (flags bit 0, version 2 only).
-    let payload_start = pos(&buf);
-    let payload_end = payload_start
-        .saturating_add((total_bits as usize).div_ceil(8))
-        .min(archive.len())
-        .max(payload_start);
-    let flags = if version == 2 { archive[7] } else { 0 };
-    if flags & FLAG_SEEK_INDEX != 0 && payload_end < archive.len() {
-        sections.push((Section::Payload, payload_start..payload_end));
+    let payload_end = hdr.payload_start + hdr.payload_avail(archive);
+    let indexed = hdr.version == 2 && hdr.flags & FLAG_SEEK_INDEX != 0;
+    if indexed && payload_end < archive.len() {
+        sections.push((Section::Payload, hdr.payload_start..payload_end));
         sections.push((Section::SeekIndex, payload_end..archive.len()));
     } else {
-        sections.push((Section::Payload, payload_start..archive.len()));
+        sections.push((Section::Payload, hdr.payload_start..archive.len()));
     }
     Ok(sections)
-}
-
-// ---------------------------------------------------------------------------
-// Random-access range decode
-// ---------------------------------------------------------------------------
-
-/// Chunk count from a minimal header peek (magic through the count
-/// field) — no codebook build, no chunk-table scan. The frame range
-/// decoder uses this to map shard-local chunk indices to frame-global
-/// ones without parsing untouched shards.
-pub fn chunk_count(archive: &[u8]) -> Result<usize> {
-    if archive.len() < 20 || (&archive[..4] != MAGIC_V1 && &archive[..4] != MAGIC_V2) {
-        return Err(bad("bad magic"));
-    }
-    let cb_len = u32::from_le_bytes(archive[16..20].try_into().unwrap()) as usize;
-    let at = 20usize.checked_add(cb_len).ok_or_else(|| bad("codebook size overflow"))?;
-    let end = at.checked_add(4).filter(|&e| e <= archive.len());
-    let end = end.ok_or_else(|| bad("truncated: need chunk count"))?;
-    Ok(u32::from_le_bytes(archive[at..end].try_into().unwrap()) as usize)
 }
 
 /// A parsed header with *positions* instead of materialized tables: the
 /// chunk table and CRC table stay in the archive bytes so a range decode
 /// reads only the words it needs.
-struct HeaderView {
+pub(crate) struct HeaderView {
     version: u8,
-    symbol_bytes: u8,
+    pub(crate) symbol_bytes: u8,
     flags: u8,
     config: MergeConfig,
-    num_symbols: usize,
+    pub(crate) num_symbols: usize,
     book: CanonicalCodebook,
     n_chunks: usize,
     /// Byte range of `chunk_bit_lens` within the archive.
@@ -700,27 +522,31 @@ impl HeaderView {
     }
 }
 
-/// Walk the header exactly like [`deserialize_with`] but without copying
-/// the payload, materializing the chunk table, or checking per-chunk
-/// payload CRCs. The header CRC is still verified (unless
-/// [`Verify::None`]) — header damage stays fatal on every path.
-fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
-    let mut buf = Bytes::copy_from_slice(archive);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
+/// The one walker of the RSH1/RSH2 header, read in place: every read
+/// path ([`deserialize_with`], [`layout`], [`range_window`] and
+/// [`container::info`]) starts here. It builds the codebook and the
+/// outlier sidecar but leaves the chunk and CRC tables in the archive
+/// bytes, and never touches the payload. The header CRC is verified
+/// unless `verify` is [`Verify::None`] — header damage stays fatal on
+/// every path.
+pub(crate) fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
+    let mut buf = archive;
+    let need = |buf: &[u8], n: usize| -> Result<()> {
+        if buf.len() < n {
             Err(bad(format!("truncated: need {n} more bytes")))
         } else {
             Ok(())
         }
     };
-    let pos = |buf: &Bytes| archive.len() - buf.remaining();
+    // Offset of the next unread byte within `archive`.
+    let pos = |buf: &[u8]| archive.len() - buf.len();
 
-    need(&buf, 16)?;
+    need(buf, 16)?;
     let mut magic = [0u8; 4];
     buf.copy_to_slice(&mut magic);
     let version: u8 = match &magic {
-        m if m == MAGIC_V1 => 1,
-        m if m == MAGIC_V2 => 2,
+        MAGIC_V1 => 1,
+        MAGIC_V2 => 2,
         _ => return Err(bad("bad magic")),
     };
     let symbol_bytes = buf.get_u8();
@@ -730,40 +556,46 @@ fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
     if !(2..=24).contains(&magnitude) || reduction == 0 || reduction >= magnitude {
         return Err(bad(format!("bad config M={magnitude} r={reduction}")));
     }
+    // Decoded output is little-endian u64 prefixes: at most 8 bytes.
+    if symbol_bytes > 8 {
+        return Err(bad(format!("bad symbol width {symbol_bytes}")));
+    }
     let num_symbols: usize =
         buf.get_u64_le().try_into().map_err(|_| bad("symbol count exceeds address space"))?;
     let config = MergeConfig::new(magnitude, reduction);
 
-    need(&buf, 4)?;
+    need(buf, 4)?;
     let cb_len = buf.get_u32_le() as usize;
-    need(&buf, cb_len)?;
-    let mut lengths = Vec::with_capacity(cb_len);
-    for _ in 0..cb_len {
-        lengths.push(u32::from(buf.get_u8()));
-    }
+    need(buf, cb_len)?;
+    // `need` bounds cb_len by the remaining buffer, so the allocation is
+    // capped by the archive's own size.
+    let lengths: Vec<u32> = buf[..cb_len].iter().map(|&l| u32::from(l)).collect();
+    buf.advance(cb_len);
+    // The empty input's archive stores no codebook at all; a missing
+    // codebook with symbols present is still structural damage.
     let book = if cb_len == 0 && num_symbols == 0 {
         CanonicalCodebook::empty()
     } else {
         CanonicalCodebook::from_lengths(&lengths).map_err(|e| bad(format!("codebook: {e}")))?
     };
 
-    need(&buf, 4)?;
+    need(buf, 4)?;
     let n_chunks = buf.get_u32_le() as usize;
     let table_bytes = n_chunks.checked_mul(8).ok_or_else(|| bad("chunk table size overflow"))?;
-    need(&buf, table_bytes)?;
+    need(buf, table_bytes)?;
     if n_chunks != num_symbols.div_ceil(config.chunk_symbols()) {
         return Err(bad(format!("chunk count {n_chunks} inconsistent with {num_symbols} symbols")));
     }
-    let chunk_table = pos(&buf)..pos(&buf) + table_bytes;
+    let chunk_table = pos(buf)..pos(buf) + table_bytes;
     buf.advance(table_bytes);
 
-    need(&buf, 4)?;
+    need(buf, 4)?;
     let n_outliers = buf.get_u32_le() as usize;
     let unit_syms = config.unit_symbols().max(1);
     let mut outliers = SparseOutliers::new();
     let mut last_idx: Option<u64> = None;
     for _ in 0..n_outliers {
-        need(&buf, 10)?;
+        need(buf, 10)?;
         let idx = buf.get_u64_le();
         if last_idx.is_some_and(|l| idx <= l) {
             return Err(bad("outlier units out of order"));
@@ -780,22 +612,23 @@ fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
                 "outlier unit {idx} stores {count} symbols, unit holds {expected}"
             )));
         }
-        need(&buf, count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?)?;
+        need(buf, count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?)?;
         let syms: Vec<u16> = (0..count).map(|_| buf.get_u16_le()).collect();
         outliers.push(idx, &syms);
     }
 
-    need(&buf, 8)?;
+    need(buf, 8)?;
     let total_bits = buf.get_u64_le();
 
+    // Version 2: chunk CRC table + header CRC, then the payload.
     let mut crc_table = None;
     if version == 2 {
         let crc_bytes =
             n_chunks.checked_mul(4).ok_or_else(|| bad("checksum table size overflow"))?;
-        need(&buf, crc_bytes + 4)?;
-        crc_table = Some(pos(&buf)..pos(&buf) + crc_bytes);
+        need(buf, crc_bytes + 4)?;
+        crc_table = Some(pos(buf)..pos(buf) + crc_bytes);
         buf.advance(crc_bytes);
-        let header_end = pos(&buf);
+        let header_end = pos(buf);
         let stored = buf.get_u32_le();
         if verify != Verify::None {
             let got = crc32(&archive[..header_end]);
@@ -822,8 +655,27 @@ fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
         outliers,
         total_bits,
         crc_table,
-        payload_start: pos(&buf),
+        payload_start: pos(buf),
     })
+}
+
+// ---------------------------------------------------------------------------
+// Random-access range decode
+// ---------------------------------------------------------------------------
+
+/// Chunk count from a minimal header peek (magic through the count
+/// field) — no codebook build, no chunk-table scan. The frame range
+/// decoder uses this to map shard-local chunk indices to frame-global
+/// ones without parsing untouched shards.
+pub fn chunk_count(archive: &[u8]) -> Result<usize> {
+    if archive.len() < 20 || (&archive[..4] != MAGIC_V1 && &archive[..4] != MAGIC_V2) {
+        return Err(bad("bad magic"));
+    }
+    let cb_len = u32::from_le_bytes(archive[16..20].try_into().unwrap()) as usize;
+    let at = 20usize.checked_add(cb_len).ok_or_else(|| bad("codebook size overflow"))?;
+    let end = at.checked_add(4).filter(|&e| e <= archive.len());
+    let end = end.ok_or_else(|| bad("truncated: need chunk count"))?;
+    Ok(u32::from_le_bytes(archive[at..end].try_into().unwrap()) as usize)
 }
 
 /// Load and validate the seek-index trailer; `None` means "no usable
@@ -1091,12 +943,19 @@ pub fn decode_range(
     range: Range<u64>,
     opts: &DecompressOptions,
 ) -> Result<RangeDecode> {
-    if crate::frame::is_frame(archive) {
-        return crate::frame::decode_range(archive, range, opts);
+    match container::sniff(archive)? {
+        Kind::Archive => decode_archive_range(archive, range, opts),
+        Kind::Frame => crate::frame::decode_range(archive, range, opts),
+        Kind::Raw => container::raw_range(archive, range, opts),
     }
-    if crate::tune::is_raw(archive) {
-        return crate::tune::raw_range(archive, range, opts);
-    }
+}
+
+/// [`decode_range`] for a bare RSH1/RSH2 archive (a frame's shard body).
+pub(crate) fn decode_archive_range(
+    archive: &[u8],
+    range: Range<u64>,
+    opts: &DecompressOptions,
+) -> Result<RangeDecode> {
     let w = range_window(archive, range, opts)?;
     let out = match opts.mode {
         RecoveryMode::Strict => {

@@ -29,6 +29,7 @@
 //! ```
 
 use crate::archive;
+use crate::container::{self, Kind};
 use crate::decode::DecoderKind;
 use crate::error::{HuffError, Result};
 use crate::frame;
@@ -262,7 +263,7 @@ pub fn decompress_range_batched(
     // a bare archive is one implicit shard on device 0.
     let mut shard_records: Vec<(usize, Vec<KernelRecord>)> = Vec::new();
     let mut next_slot = 0usize;
-    let decoded = if frame::is_frame(bytes) {
+    let decoded = if container::sniff(bytes)? == Kind::Frame {
         frame::decode_range_with(bytes, range, opts, &mut |_, body, local| {
             let device = next_slot % n_devices;
             let gpu = Gpu::new(batch.devices[device].clone());
@@ -710,7 +711,7 @@ mod tests {
         opts.shard_symbols = 1 << 20;
         let (frame, report) = compress_batched(&syms, &opts).unwrap();
         assert_eq!(report.shards.len(), 1);
-        assert!(crate::frame::is_frame(&frame));
+        assert_eq!(container::sniff(&frame).unwrap(), Kind::Frame);
         assert_eq!(archive::decompress(&frame).unwrap(), syms);
     }
 

@@ -9,11 +9,11 @@
 //!
 //! Chunk independence is also what makes *recovery* possible: when a
 //! chunk's payload bytes are damaged (see [`crate::integrity`]), every
-//! other chunk still decodes from its own offset.
-//! [`decode_best_effort`] exploits this — damaged chunks are
-//! sentinel-filled (except their breaking units, whose raw symbols live
-//! in the header sidecar and survive payload damage) while intact chunks
-//! decode normally.
+//! other chunk still decodes from its own offset. Best-effort decoding
+//! ([`super::decode_stream_best_effort`]) exploits this — damaged chunks
+//! are sentinel-filled (except their breaking units, whose raw symbols
+//! live in the header sidecar and survive payload damage) while intact
+//! chunks decode normally.
 
 use crate::bitstream::BitReader;
 use crate::codebook::CanonicalCodebook;
@@ -74,7 +74,7 @@ pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u1
 /// Decode a chunked stream on a single thread, chunk by chunk — the
 /// bit-serial baseline the paper's decoders are measured against. Output
 /// is bit-exact with [`decode`] (and with [`crate::decode::lut::decode`]).
-pub fn decode_serial(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
+pub(crate) fn decode_serial(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
     let mut out = Vec::with_capacity(stream.num_symbols);
     for ci in 0..stream.num_chunks() {
         out.extend_from_slice(&decode_chunk(stream, book, ci)?);
@@ -184,7 +184,7 @@ pub(crate) fn fill_damaged_chunk(
 /// under [`crate::integrity::Verify::None`] — are sentinel-filled too.
 /// Never panics and never returns an error: the report says what was
 /// lost.
-pub fn decode_best_effort(
+pub(crate) fn decode_best_effort(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     damaged: &[bool],
@@ -195,7 +195,7 @@ pub fn decode_best_effort(
 
 /// Single-thread variant of [`decode_best_effort`]: same output, same
 /// report, no rayon fan-out.
-pub fn decode_serial_best_effort(
+pub(crate) fn decode_serial_best_effort(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     damaged: &[bool],
@@ -204,7 +204,7 @@ pub fn decode_serial_best_effort(
     decode_best_effort_with(stream, damaged, sentinel, false, |ci| decode_chunk(stream, book, ci))
 }
 
-/// The report [`decode_best_effort`] *would* produce for `damaged`,
+/// The report best-effort decoding *would* produce for `damaged`,
 /// without decoding anything — used by archive verification.
 pub fn damage_report(stream: &ChunkedStream, damaged: &[bool]) -> RecoveryReport {
     let chunk_syms = stream.config.chunk_symbols();

@@ -101,49 +101,6 @@ fn decode_table_bytes(book: &CanonicalCodebook) -> u64 {
     (book.reverse().len() * 2 + book.first().len() * 8 + book.entry().len() * 4) as u64
 }
 
-/// Decode a chunked stream on the device with the bit-serial per-chunk
-/// kernel. Returns the symbols and the modeled kernel time in seconds.
-pub fn decode_on_gpu(
-    gpu: &Gpu,
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-) -> Result<(Vec<u16>, f64)> {
-    let table_bytes = decode_table_bytes(book);
-    let grid = decode_launch(stream).grid();
-    let (out, cost) = gpu.launch_timed("dec_chunked_canonical", grid, |scope| {
-        let out = chunked::decode(stream, book);
-        account_decode_traffic(scope, stream, table_bytes);
-        out
-    });
-    Ok((out?, cost.total))
-}
-
-/// Best-effort decode of a (possibly damaged) chunked stream on the
-/// device: chunks flagged in `chunk_damage` are sentinel-filled instead of
-/// decoded (see [`chunked::decode_best_effort`]). Returns the symbols, the
-/// recovery report, and the modeled kernel time in seconds.
-///
-/// The traffic model is identical to [`decode_on_gpu`] — a damaged chunk
-/// still costs its payload read (the checksum pass touched it) and its
-/// sentinel writes, and damage is rare enough that modeling the skipped
-/// table probes would be noise.
-pub fn decode_best_effort_on_gpu(
-    gpu: &Gpu,
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-    chunk_damage: &[bool],
-    sentinel: u16,
-) -> (Vec<u16>, RecoveryReport, f64) {
-    let table_bytes = decode_table_bytes(book);
-    let grid = decode_launch(stream).grid();
-    let ((symbols, report), cost) = gpu.launch_timed("dec_chunked_best_effort", grid, |scope| {
-        let out = chunked::decode_best_effort(stream, book, chunk_damage, sentinel);
-        account_decode_traffic(scope, stream, table_bytes);
-        out
-    });
-    (symbols, report, cost.total)
-}
-
 /// The serial baseline's traffic: one thread owns the whole stream, so
 /// every table probe is a dependent access in a single latency chain —
 /// the Section II-C argument for why serial algorithms collapse on GPUs.
@@ -156,41 +113,6 @@ fn account_serial_traffic(scope: &mut KernelScope, stream: &ChunkedStream, table
     t.sequential(n);
     t.ops(6 * stream.total_bits);
     t.write(Access::Coalesced, n, 2);
-}
-
-/// Decode the whole stream on a single device thread (`dec_serial`): the
-/// baseline the paper's parallel decoders are measured against. Returns
-/// the symbols and the modeled kernel time in seconds.
-pub fn decode_serial_on_gpu(
-    gpu: &Gpu,
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-) -> Result<(Vec<u16>, f64)> {
-    let table_bytes = decode_table_bytes(book);
-    let (out, cost) = gpu.launch_timed("dec_serial", GridDim::new(1, 1), |scope| {
-        let out = chunked::decode_serial(stream, book);
-        account_serial_traffic(scope, stream, table_bytes);
-        out
-    });
-    Ok((out?, cost.total))
-}
-
-/// Best-effort variant of [`decode_serial_on_gpu`] (same kernel shape).
-pub fn decode_serial_best_effort_on_gpu(
-    gpu: &Gpu,
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-    chunk_damage: &[bool],
-    sentinel: u16,
-) -> (Vec<u16>, RecoveryReport, f64) {
-    let table_bytes = decode_table_bytes(book);
-    let ((symbols, report), cost) =
-        gpu.launch_timed("dec_serial_best_effort", GridDim::new(1, 1), |scope| {
-            let out = chunked::decode_serial_best_effort(stream, book, chunk_damage, sentinel);
-            account_serial_traffic(scope, stream, table_bytes);
-            out
-        });
-    (symbols, report, cost.total)
 }
 
 /// The sync kernel's traffic: one walker per subsequence, each starting at
@@ -253,64 +175,98 @@ fn account_lut_traffic(
     t.diverge(1.2);
 }
 
-/// Decode with the LUT + gap-array pipeline: a `dec_subchunk_sync` launch
-/// (self-synchronization pass) followed by `dec_lut_gap` (decode +
-/// compaction). Returns the symbols and the summed modeled kernel time.
-pub fn decode_lut_on_gpu(
+/// How a launch treats damage: strict decoding fails on the first bad
+/// chunk; best-effort sentinel-fills the chunks flagged in `damage`.
+#[derive(Clone, Copy)]
+enum Recovery<'a> {
+    Strict,
+    BestEffort { damage: &'a [bool], sentinel: u16 },
+}
+
+/// The single decode launcher behind [`decode_kind_on_gpu`] and
+/// [`decode_kind_best_effort_on_gpu`]. Both recovery modes launch the
+/// same kernel shapes under their own names and bill the same traffic —
+/// a damaged chunk still costs its payload read (the checksum pass
+/// touched it) and its sentinel writes, and damage is rare enough that
+/// modeling the skipped table probes would be noise. Returns the host
+/// decode (a clean report in strict mode) and the summed modeled kernel
+/// seconds.
+fn launch(
     gpu: &Gpu,
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
-) -> Result<(Vec<u16>, f64)> {
-    let table = DecodeLut::build(book, lut::DEFAULT_LUT_BITS);
-    let cfg = SubchunkConfig::default();
+    kind: DecoderKind,
+    recovery: Recovery<'_>,
+) -> (Result<(Vec<u16>, RecoveryReport)>, f64) {
+    let strict = |r: Result<Vec<u16>>| r.map(|s| (s, RecoveryReport::clean(stream.num_chunks())));
+    let best_effort = matches!(recovery, Recovery::BestEffort { .. });
     let grid = decode_launch(stream).grid();
-
-    let ((result, stats), sync_cost) = gpu.launch_timed("dec_subchunk_sync", grid, |scope| {
-        // The host decode runs once here; the sync kernel is charged from
-        // the measured gap-array work counters.
-        let (result, stats) = match lut::decode_with(stream, book, &table, cfg) {
-            Ok((symbols, stats)) => (Ok(symbols), stats),
-            Err(e) => (Err(e), GapStats::estimate(stream, cfg)),
-        };
-        account_sync_traffic(scope, stream, &stats, cfg, &table);
-        (result, stats)
-    });
-    let (result, dec_cost) = gpu.launch_timed("dec_lut_gap", grid, |scope| {
-        account_lut_traffic(scope, stream, &stats, &table);
-        result
-    });
-    Ok((result?, sync_cost.total + dec_cost.total))
+    match kind {
+        DecoderKind::Serial | DecoderKind::Chunked => {
+            let serial = kind == DecoderKind::Serial;
+            let (name, grid) = match (serial, best_effort) {
+                (true, false) => ("dec_serial", GridDim::new(1, 1)),
+                (true, true) => ("dec_serial_best_effort", GridDim::new(1, 1)),
+                (false, false) => ("dec_chunked_canonical", grid),
+                (false, true) => ("dec_chunked_best_effort", grid),
+            };
+            let table_bytes = decode_table_bytes(book);
+            let (out, cost) = gpu.launch_timed(name, grid, |scope| {
+                let out = match recovery {
+                    Recovery::Strict if serial => strict(chunked::decode_serial(stream, book)),
+                    Recovery::Strict => strict(chunked::decode(stream, book)),
+                    Recovery::BestEffort { damage, sentinel } if serial => {
+                        Ok(chunked::decode_serial_best_effort(stream, book, damage, sentinel))
+                    }
+                    Recovery::BestEffort { damage, sentinel } => {
+                        Ok(chunked::decode_best_effort(stream, book, damage, sentinel))
+                    }
+                };
+                if serial {
+                    account_serial_traffic(scope, stream, table_bytes);
+                } else {
+                    account_decode_traffic(scope, stream, table_bytes);
+                }
+                out
+            });
+            (out, cost.total)
+        }
+        DecoderKind::Lut => {
+            // A `dec_subchunk_sync` launch (self-synchronization pass)
+            // followed by the decode + compaction kernel. The host decode
+            // runs once, in the sync launch: strict mode charges it from
+            // the measured gap-array work counters, best-effort from the
+            // analytic estimate (damaged chunks skip decoding, but the
+            // model keeps the undamaged-shape cost).
+            let table = DecodeLut::build(book, lut::DEFAULT_LUT_BITS);
+            let cfg = SubchunkConfig::default();
+            let ((out, stats), sync_cost) = gpu.launch_timed("dec_subchunk_sync", grid, |scope| {
+                let (out, stats) = match recovery {
+                    Recovery::Strict => match lut::decode_with(stream, book, &table, cfg) {
+                        Ok((symbols, stats)) => (strict(Ok(symbols)), stats),
+                        Err(e) => (Err(e), GapStats::estimate(stream, cfg)),
+                    },
+                    Recovery::BestEffort { damage, sentinel } => (
+                        Ok(lut::decode_best_effort_with(
+                            stream, book, &table, cfg, damage, sentinel,
+                        )),
+                        GapStats::estimate(stream, cfg),
+                    ),
+                };
+                account_sync_traffic(scope, stream, &stats, cfg, &table);
+                (out, stats)
+            });
+            let name = if best_effort { "dec_lut_gap_best_effort" } else { "dec_lut_gap" };
+            let (_, dec_cost) = gpu.launch_timed(name, grid, |scope| {
+                account_lut_traffic(scope, stream, &stats, &table);
+            });
+            (out, sync_cost.total + dec_cost.total)
+        }
+    }
 }
 
-/// Best-effort variant of [`decode_lut_on_gpu`]: same two-kernel shape,
-/// with the gap-array work counters estimated analytically (damaged
-/// chunks skip decoding, but the model keeps the undamaged-shape cost —
-/// same convention as the bit-serial kernels).
-pub fn decode_lut_best_effort_on_gpu(
-    gpu: &Gpu,
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-    chunk_damage: &[bool],
-    sentinel: u16,
-) -> (Vec<u16>, RecoveryReport, f64) {
-    let table = DecodeLut::build(book, lut::DEFAULT_LUT_BITS);
-    let cfg = SubchunkConfig::default();
-    let grid = decode_launch(stream).grid();
-    let stats = GapStats::estimate(stream, cfg);
-
-    let ((symbols, report), sync_cost) = gpu.launch_timed("dec_subchunk_sync", grid, |scope| {
-        let out = lut::decode_best_effort_with(stream, book, &table, cfg, chunk_damage, sentinel);
-        account_sync_traffic(scope, stream, &stats, cfg, &table);
-        out
-    });
-    let (_, dec_cost) = gpu.launch_timed("dec_lut_gap_best_effort", grid, |scope| {
-        account_lut_traffic(scope, stream, &stats, &table);
-    });
-    (symbols, report, sync_cost.total + dec_cost.total)
-}
-
-/// Strict decode with the backend selected by `kind`. Returns the symbols
-/// and the modeled kernel time in seconds.
+/// Strict decode on the device with the backend selected by `kind`.
+/// Returns the symbols and the modeled kernel time in seconds.
 pub fn decode_kind_on_gpu(
     gpu: &Gpu,
     stream: &ChunkedStream,
@@ -318,11 +274,27 @@ pub fn decode_kind_on_gpu(
     kind: DecoderKind,
 ) -> Result<(Vec<u16>, f64)> {
     crate::metrics::registry::global().record_decode_backend(kind.name());
-    match kind {
-        DecoderKind::Serial => decode_serial_on_gpu(gpu, stream, book),
-        DecoderKind::Chunked => decode_on_gpu(gpu, stream, book),
-        DecoderKind::Lut => decode_lut_on_gpu(gpu, stream, book),
-    }
+    let (out, secs) = launch(gpu, stream, book, kind, Recovery::Strict);
+    Ok((out?.0, secs))
+}
+
+/// Best-effort decode of a (possibly damaged) stream on the device with
+/// the backend selected by `kind`: chunks flagged in `chunk_damage` are
+/// sentinel-filled instead of decoded. Returns the symbols, the recovery
+/// report, and the modeled kernel time in seconds.
+pub fn decode_kind_best_effort_on_gpu(
+    gpu: &Gpu,
+    stream: &ChunkedStream,
+    book: &CanonicalCodebook,
+    chunk_damage: &[bool],
+    sentinel: u16,
+    kind: DecoderKind,
+) -> (Vec<u16>, RecoveryReport, f64) {
+    crate::metrics::registry::global().record_decode_backend(kind.name());
+    let recovery = Recovery::BestEffort { damage: chunk_damage, sentinel };
+    let (out, secs) = launch(gpu, stream, book, kind, recovery);
+    let (symbols, report) = out.expect("best-effort host decoding never fails");
+    (symbols, report, secs)
 }
 
 /// Locate and decode only the chunks covering `range` on the modeled
@@ -385,29 +357,6 @@ pub fn decode_range_on_gpu(
     Ok((r, probe_cost.total + decode_secs))
 }
 
-/// Best-effort decode with the backend selected by `kind`.
-pub fn decode_kind_best_effort_on_gpu(
-    gpu: &Gpu,
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-    chunk_damage: &[bool],
-    sentinel: u16,
-    kind: DecoderKind,
-) -> (Vec<u16>, RecoveryReport, f64) {
-    crate::metrics::registry::global().record_decode_backend(kind.name());
-    match kind {
-        DecoderKind::Serial => {
-            decode_serial_best_effort_on_gpu(gpu, stream, book, chunk_damage, sentinel)
-        }
-        DecoderKind::Chunked => {
-            decode_best_effort_on_gpu(gpu, stream, book, chunk_damage, sentinel)
-        }
-        DecoderKind::Lut => {
-            decode_lut_best_effort_on_gpu(gpu, stream, book, chunk_damage, sentinel)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,7 +404,7 @@ mod tests {
     fn gpu_decode_matches_input() {
         let (book, syms, stream) = setup(30_000);
         let gpu = Gpu::new(DeviceSpec::test_part());
-        let (out, secs) = decode_on_gpu(&gpu, &stream, &book).unwrap();
+        let (out, secs) = decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Chunked).unwrap();
         assert_eq!(out, syms);
         assert!(secs > 0.0);
         assert_eq!(gpu.clock().launches(), 1);
@@ -472,7 +421,7 @@ mod tests {
         )
         .unwrap();
         let gpu = Gpu::new(DeviceSpec::test_part());
-        let (out, _) = decode_on_gpu(&gpu, &empty, &book).unwrap();
+        let (out, _) = decode_kind_on_gpu(&gpu, &empty, &book, DecoderKind::Chunked).unwrap();
         assert!(out.is_empty());
     }
 
@@ -482,7 +431,14 @@ mod tests {
         let gpu = Gpu::new(DeviceSpec::test_part());
         let mut damage = vec![false; stream.num_chunks()];
         damage[0] = true;
-        let (out, report, secs) = decode_best_effort_on_gpu(&gpu, &stream, &book, &damage, 0xFFFF);
+        let (out, report, secs) = decode_kind_best_effort_on_gpu(
+            &gpu,
+            &stream,
+            &book,
+            &damage,
+            0xFFFF,
+            DecoderKind::Chunked,
+        );
         assert_eq!(out.len(), syms.len());
         assert!(!report.is_clean());
         assert_eq!(report.damaged_chunks, vec![0]);
@@ -497,7 +453,7 @@ mod tests {
     fn v100_decode_throughput_band() {
         let (book, _, stream) = setup(4_000_000);
         let gpu = Gpu::v100();
-        let (_, secs) = decode_on_gpu(&gpu, &stream, &book).unwrap();
+        let (_, secs) = decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Chunked).unwrap();
         let gbps = gpu_sim::gbps(stream.num_symbols as f64 * 2.0 / secs);
         // Decoding is compute/latency-bound: below encode throughput but
         // far above a serial CPU decode.
@@ -508,7 +464,7 @@ mod tests {
     fn lut_gpu_decode_matches_input_in_two_launches() {
         let (book, syms, stream) = setup(30_000);
         let gpu = Gpu::new(DeviceSpec::test_part());
-        let (out, secs) = decode_lut_on_gpu(&gpu, &stream, &book).unwrap();
+        let (out, secs) = decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Lut).unwrap();
         assert_eq!(out, syms);
         assert!(secs > 0.0);
         let clock = gpu.clock();
@@ -524,9 +480,15 @@ mod tests {
         let mut damage = vec![false; stream.num_chunks()];
         damage[1] = true;
         let (lut_out, lut_report, secs) =
-            decode_lut_best_effort_on_gpu(&gpu, &stream, &book, &damage, 0xFFFF);
-        let (chk_out, chk_report, _) =
-            decode_best_effort_on_gpu(&gpu, &stream, &book, &damage, 0xFFFF);
+            decode_kind_best_effort_on_gpu(&gpu, &stream, &book, &damage, 0xFFFF, DecoderKind::Lut);
+        let (chk_out, chk_report, _) = decode_kind_best_effort_on_gpu(
+            &gpu,
+            &stream,
+            &book,
+            &damage,
+            0xFFFF,
+            DecoderKind::Chunked,
+        );
         assert_eq!(lut_out, chk_out);
         assert_eq!(lut_report, chk_report);
         assert!(secs > 0.0);
@@ -536,9 +498,11 @@ mod tests {
     fn serial_gpu_decode_is_latency_bound_baseline() {
         let (book, syms, stream) = setup(200_000);
         let gpu = Gpu::v100();
-        let (out, serial_secs) = decode_serial_on_gpu(&gpu, &stream, &book).unwrap();
+        let (out, serial_secs) =
+            decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Serial).unwrap();
         assert_eq!(out, syms);
-        let (_, chunked_secs) = decode_on_gpu(&gpu, &stream, &book).unwrap();
+        let (_, chunked_secs) =
+            decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Chunked).unwrap();
         // One thread pays full memory latency per symbol: orders of
         // magnitude slower than the parallel kernel.
         assert!(
@@ -555,8 +519,9 @@ mod tests {
         // crossover the decoder sweep (BENCH_decode.json) commits.
         let (book, _, stream) = setup_high_entropy(4_000_000);
         let gpu = Gpu::v100();
-        let (_, chunked_secs) = decode_on_gpu(&gpu, &stream, &book).unwrap();
-        let (_, lut_secs) = decode_lut_on_gpu(&gpu, &stream, &book).unwrap();
+        let (_, chunked_secs) =
+            decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Chunked).unwrap();
+        let (_, lut_secs) = decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Lut).unwrap();
         assert!(
             lut_secs < chunked_secs,
             "lut {lut_secs:.6}s not faster than chunked {chunked_secs:.6}s"
@@ -666,7 +631,7 @@ mod tests {
         };
         let book = codebook::parallel(&[3, 1], 2).unwrap();
         let gpu = Gpu::new(DeviceSpec::test_part());
-        let (out, _) = decode_on_gpu(&gpu, &stream, &book).unwrap();
+        let (out, _) = decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Chunked).unwrap();
         assert!(out.is_empty());
         let clock = gpu.clock();
         let rec = &clock.records()[0];

@@ -371,7 +371,7 @@ pub(crate) fn decode_chunk(
 
 /// Decode a chunked stream with the default LUT width and subchunk
 /// geometry. Bit-exact with [`chunked::decode`].
-pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
+pub(crate) fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
     let lut = DecodeLut::build(book, DEFAULT_LUT_BITS);
     decode_with(stream, book, &lut, SubchunkConfig::default()).map(|(s, _)| s)
 }
@@ -411,7 +411,7 @@ pub fn decode_with(
 /// [`chunked::decode_best_effort`] — marked or failing chunks are
 /// sentinel-filled (their breaking units recovered from the sidecar) and
 /// reported; never panics, never errors.
-pub fn decode_best_effort(
+pub(crate) fn decode_best_effort(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     damaged: &[bool],
@@ -422,7 +422,7 @@ pub fn decode_best_effort(
 }
 
 /// Best-effort decode with explicit LUT and subchunk geometry.
-pub fn decode_best_effort_with(
+pub(crate) fn decode_best_effort_with(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     lut: &DecodeLut,

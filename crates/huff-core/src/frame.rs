@@ -22,27 +22,27 @@
 //! is fatal (the shard boundaries are required to find anything), exactly
 //! mirroring the RSH2 rule that archive-header damage is fatal.
 //!
-//! Single-shard RSH2 archives remain valid on their own:
-//! [`crate::archive::decompress_with`] dispatches on the magic, so readers
-//! accept both formats transparently (see FORMAT.md § "Multi-shard
-//! frame").
+//! A shard body is read as a bare RSH1/RSH2 archive only: the shard
+//! decoders call the archive layer's single-format paths, never the
+//! dispatching entry points, and [`parse`] rejects a shard body that is
+//! itself an `RSHM` frame or an `RSHR` container — a structured error in
+//! every recovery mode, never a recursion. Single-shard RSH2 archives
+//! remain valid on their own; [`crate::container::sniff`] tells the
+//! formats apart for [`crate::archive::decompress_with`] (see FORMAT.md
+//! § "Multi-shard frame").
 
 use crate::archive;
+use crate::container::{self, Kind};
 use crate::error::{HuffError, Result};
 use crate::integrity::{
     crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section, Verify,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use rayon::prelude::*;
 use std::ops::Range;
 
-const MAGIC: &[u8; 4] = b"RSHM";
+pub(crate) const MAGIC: &[u8; 4] = b"RSHM";
 const VERSION: u8 = 1;
-
-/// True when `bytes` starts with the multi-shard frame magic.
-pub fn is_frame(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == MAGIC
-}
 
 /// Parsed frame header: shard geometry plus the body byte ranges.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,17 +142,18 @@ pub fn assemble(
 
 /// Parse and (unless `verify` is [`Verify::None`]) checksum the frame
 /// header. Header damage is fatal: without the shard table nothing inside
-/// the frame can be located.
+/// the frame can be located. So is a shard body that is itself a frame or
+/// a raw container.
 pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
+    let mut buf = bytes;
+    let need = |buf: &[u8], n: usize| -> Result<()> {
+        if buf.len() < n {
             Err(bad(format!("truncated frame: need {n} more bytes")))
         } else {
             Ok(())
         }
     };
-    need(&buf, 28)?;
+    need(buf, 28)?;
     let mut magic = [0u8; 4];
     buf.copy_to_slice(&mut magic);
     if &magic != MAGIC {
@@ -177,7 +178,7 @@ pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
         )));
     }
     let table = num_shards.checked_mul(8).ok_or_else(|| bad("shard table size overflow"))?;
-    need(&buf, table + 4)?;
+    need(buf, table + 4)?;
     let mut lens = Vec::with_capacity(num_shards);
     for _ in 0..num_shards {
         lens.push(buf.get_u64_le());
@@ -197,9 +198,21 @@ pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
     }
     let mut shard_ranges = Vec::with_capacity(num_shards);
     let mut off = bytes.len() - buf.remaining();
-    for &l in &lens {
+    for (i, &l) in lens.iter().enumerate() {
         let len: usize = l.try_into().map_err(|_| bad("shard length exceeds address space"))?;
         let end = off.checked_add(len).ok_or_else(|| bad("shard table overflows frame"))?;
+        // A shard body is a bare RSH1/RSH2 archive. A body that is itself
+        // a frame or a raw container breaks the frame's structure, so it
+        // is fatal like header damage; any other unreadable body is only
+        // that shard's damage.
+        let nested = match container::sniff(bytes.get(off..).unwrap_or_default()) {
+            Ok(Kind::Frame) => Some("an RSHM frame"),
+            Ok(Kind::Raw) => Some("an RSHR raw container"),
+            _ => None,
+        };
+        if let Some(what) = nested {
+            return Err(bad(format!("shard {i} body is {what}, not an RSH1/RSH2 archive")));
+        }
         shard_ranges.push(off..end);
         off = end;
     }
@@ -229,7 +242,7 @@ pub fn decompress_with(bytes: &[u8], opts: &DecompressOptions) -> Result<Recover
             let body = bytes
                 .get(r.clone())
                 .ok_or_else(|| bad(format!("shard {i} body extends past the frame")))?;
-            let rec = archive::decompress_with(body, opts)?;
+            let rec = archive::decompress_archive(body, opts)?;
             if rec.symbols.len() != expected {
                 return Err(bad(format!(
                     "shard {i} decoded {} symbols, expected {expected}",
@@ -284,7 +297,7 @@ pub fn decompress_with(bytes: &[u8], opts: &DecompressOptions) -> Result<Recover
 /// Decode only the bytes of `range` (in decoded-output byte space) from a
 /// multi-shard frame.
 ///
-/// Each shard overlapping the range runs [`archive::decode_range`] over
+/// Each shard overlapping the range runs a bare-archive range decode over
 /// its shard-local slice, so only the chunks covering the range are ever
 /// decoded; untouched shards contribute nothing but their chunk count to
 /// the report's totals (a cheap header peek, not a decode). Strict and
@@ -299,7 +312,7 @@ pub fn decode_range(
     opts: &DecompressOptions,
 ) -> Result<RangeDecode> {
     decode_range_with(bytes, range, opts, &mut |_, body, local| {
-        archive::decode_range(body, local, opts)
+        archive::decode_archive_range(body, local, opts)
     })
 }
 
@@ -422,7 +435,7 @@ pub fn verify(bytes: &[u8]) -> Result<RecoveryReport> {
         let shard_report = bytes
             .get(r.clone())
             .ok_or_else(|| bad("shard body extends past the frame"))
-            .and_then(archive::verify);
+            .and_then(archive::verify_archive);
         match shard_report {
             Ok(sr) => {
                 report.total_chunks += sr.total_chunks;
@@ -471,7 +484,7 @@ mod tests {
     fn frame_roundtrips_bit_exactly() {
         let syms = data(30_000);
         let frame = frame_of(&syms, 8192);
-        assert!(is_frame(&frame));
+        assert_eq!(container::sniff(&frame).unwrap(), Kind::Frame);
         let rec = decompress_with(&frame, &DecompressOptions::default()).unwrap();
         assert_eq!(rec.symbols, syms);
         assert!(rec.report.is_clean());
@@ -542,7 +555,7 @@ mod tests {
     fn empty_frame_roundtrips() {
         // Zero symbols → zero shards is valid geometry, not an error.
         let frame = assemble(&[], 0, 4096, 2).unwrap();
-        assert!(is_frame(&frame));
+        assert_eq!(container::sniff(&frame).unwrap(), Kind::Frame);
         let info = parse(&frame, Verify::Full).unwrap();
         assert_eq!(info.num_shards(), 0);
         assert_eq!(info.total_symbols, 0);

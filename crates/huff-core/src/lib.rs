@@ -25,7 +25,8 @@
 //! tree-walking, and parallel chunked decoders; [`archive`] wraps
 //! everything into a `compress`/`decompress` container with CRC32
 //! integrity checking and best-effort chunk recovery ([`integrity`],
-//! exercised by the deterministic fault model in [`testing`]).
+//! exercised by the deterministic fault model in [`testing`]);
+//! [`container`] tells its on-disk formats apart.
 //!
 //! "GPU" here is the [`gpu_sim`] substrate: all transformations are
 //! bit-exact host computations; device *time* is modeled from the memory
@@ -47,6 +48,7 @@ pub mod batch;
 pub mod bitstream;
 pub mod codebook;
 pub mod codeword;
+pub mod container;
 pub mod decode;
 pub mod encode;
 pub mod entropy;

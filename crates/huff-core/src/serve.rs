@@ -64,6 +64,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::archive;
 use crate::batch::{compress_batched_with_faults, BatchOptions, DeviceFault};
 use crate::decode::DecoderKind;
 use crate::error::{HuffError, Result};
@@ -74,7 +75,6 @@ use crate::metrics::span::{SpanSink, TraceContext};
 use crate::slo;
 use crate::testing::Fault;
 use crate::tune::{self, Dispatch, Tuner};
-use crate::{archive, frame};
 use gpu_sim::KernelRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1145,7 +1145,7 @@ impl Engine {
                 sentinel: self.cfg.sentinel,
                 decoder: kind,
             };
-            match decompress_any(payload, &opts) {
+            match archive::decompress_with(payload, &opts) {
                 Ok(rec) => {
                     stages.push((
                         format!("decode_{}", kind.name()),
@@ -1183,7 +1183,7 @@ impl Engine {
                     sentinel: self.cfg.sentinel,
                     decoder: DecoderKind::Serial,
                 };
-                match decompress_any(payload, &opts) {
+                match archive::decompress_with(payload, &opts) {
                     Ok(rec) => {
                         stages.push((
                             "best_effort".to_string(),
@@ -1325,15 +1325,6 @@ impl Engine {
             .map(|&(_, r)| r)
             .unwrap_or(1.0e9);
         bytes as f64 / rate
-    }
-}
-
-/// Decompress an RSHM frame or a bare RSH2 archive with the same options.
-fn decompress_any(bytes: &[u8], opts: &DecompressOptions) -> Result<crate::integrity::Recovered> {
-    if frame::is_frame(bytes) {
-        frame::decompress_with(bytes, opts)
-    } else {
-        archive::decompress_with(bytes, opts)
     }
 }
 

@@ -22,9 +22,10 @@
 //!    the default it replaces.
 //! 3. **Dispatch early exits** — incompressible inputs (expected output
 //!    ≥ [`STORE_RAW_THRESHOLD`] of raw) skip the encoder entirely and
-//!    are stored in the tiny `RSHR` raw container ([`store_raw`]); tiny
-//!    inputs (below [`SMALL_INPUT_SYMBOLS`]) are not worth a single
-//!    kernel launch and run the CPU-serial path.
+//!    are stored in the tiny `RSHR` raw container
+//!    ([`container::store_raw`]); tiny inputs (below
+//!    [`SMALL_INPUT_SYMBOLS`]) are not worth a single kernel launch and
+//!    run the CPU-serial path.
 //! 4. **Tuning cache** ([`TuneCache`], file schema
 //!    [`TUNE_CACHE_SCHEMA`] = `rsh-tune-v1`) — decisions are persisted
 //!    keyed by signature + device name, so a serving process warms up:
@@ -58,14 +59,13 @@
 use crate::archive::{self, CompressOptions};
 use crate::batch::{self, BatchOptions};
 use crate::codebook;
+use crate::container;
 use crate::decode::DecoderKind;
 use crate::encode::BreakingStrategy;
 use crate::entropy;
-use crate::error::{HuffError, Result};
+use crate::error::Result;
 use crate::histogram;
-use crate::integrity::{
-    crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Verify,
-};
+use crate::integrity::crc32;
 use crate::plan::KernelPlan;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gpu_sim::cost;
@@ -218,7 +218,8 @@ pub enum Dispatch {
     /// Single-threaded host compress ([`crate::archive::compress`]) —
     /// inputs too small to amortize a kernel launch.
     CpuSerial,
-    /// The `RSHR` raw container ([`store_raw`]) — incompressible inputs.
+    /// The `RSHR` raw container ([`container::store_raw`]) — incompressible
+    /// inputs.
     StoreRaw,
 }
 
@@ -644,7 +645,7 @@ pub fn plan(sig: &Signature, spec: &DeviceSpec) -> Decision {
 /// the same parameters explicitly, so the two are bit-identical by
 /// construction:
 ///
-/// - [`Dispatch::StoreRaw`] → [`store_raw`];
+/// - [`Dispatch::StoreRaw`] → [`container::store_raw`];
 /// - [`Dispatch::CpuSerial`] → [`crate::archive::compress`] with
 ///   `reduction = Some(decision.reduction)` (a bare `RSH2` archive, what
 ///   the CLI produces without batch flags);
@@ -659,7 +660,7 @@ pub fn compress_with_decision(
     devices: &[DeviceSpec],
 ) -> Result<Vec<u8>> {
     match decision.dispatch {
-        Dispatch::StoreRaw => store_raw(symbols, symbol_bytes),
+        Dispatch::StoreRaw => container::store_raw(symbols, symbol_bytes),
         Dispatch::CpuSerial => {
             let opts = CompressOptions {
                 num_symbols,
@@ -682,244 +683,6 @@ pub fn compress_with_decision(
             Ok(frame)
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The RSHR store-raw container
-// ---------------------------------------------------------------------------
-
-const RAW_MAGIC: &[u8; 4] = b"RSHR";
-const RAW_VERSION: u8 = 1;
-const RAW_HEADER_LEN: usize = 24;
-
-/// True when `bytes` starts with the `RSHR` store-raw magic.
-pub fn is_raw(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == RAW_MAGIC
-}
-
-/// Store `symbols` uncompressed in the `RSHR` raw container (the
-/// [`Dispatch::StoreRaw`] output; layout in FORMAT.md §9):
-///
-/// ```text
-/// magic "RSHR" | version u8 | symbol_bytes u8 | pad u16
-/// num_symbols u64 | payload_crc u32 | header_crc u32
-/// payload   num_symbols × symbol_bytes little-endian bytes
-/// ```
-///
-/// With `symbol_bytes == 1` every symbol must fit a byte.
-pub fn store_raw(symbols: &[u16], symbol_bytes: u8) -> Result<Vec<u8>> {
-    if symbol_bytes != 1 && symbol_bytes != 2 {
-        return Err(HuffError::BadArchive(format!("raw container: symbol_bytes {symbol_bytes}")));
-    }
-    let mut payload = Vec::with_capacity(symbols.len() * symbol_bytes as usize);
-    for &s in symbols {
-        if symbol_bytes == 1 {
-            if s > 0xFF {
-                return Err(HuffError::SymbolOutOfRange { symbol: usize::from(s), codebook: 256 });
-            }
-            payload.push(s as u8);
-        } else {
-            payload.extend_from_slice(&s.to_le_bytes());
-        }
-    }
-    let mut buf = BytesMut::with_capacity(RAW_HEADER_LEN + payload.len());
-    buf.put_slice(RAW_MAGIC);
-    buf.put_u8(RAW_VERSION);
-    buf.put_u8(symbol_bytes);
-    buf.put_u16_le(0);
-    buf.put_u64_le(symbols.len() as u64);
-    buf.put_u32_le(crc32(&payload));
-    let header_crc = crc32(&buf);
-    buf.put_u32_le(header_crc);
-    buf.put_slice(&payload);
-    Ok(buf.to_vec())
-}
-
-/// Parse and checksum an `RSHR` header, returning
-/// `(symbol_bytes, num_symbols)`. Header damage is fatal, mirroring the
-/// RSH2/RSHM rule.
-pub fn raw_info(bytes: &[u8]) -> Result<(u8, u64)> {
-    let bad = |m: &str| HuffError::BadArchive(format!("raw container: {m}"));
-    if bytes.len() < RAW_HEADER_LEN {
-        return Err(bad("truncated header"));
-    }
-    if !is_raw(bytes) {
-        return Err(bad("bad magic"));
-    }
-    let mut buf = Bytes::copy_from_slice(&bytes[4..RAW_HEADER_LEN]);
-    let version = buf.get_u8();
-    if version != RAW_VERSION {
-        return Err(bad(&format!("unsupported version {version}")));
-    }
-    let symbol_bytes = buf.get_u8();
-    if symbol_bytes != 1 && symbol_bytes != 2 {
-        return Err(bad(&format!("symbol_bytes {symbol_bytes}")));
-    }
-    let _pad = buf.get_u16_le();
-    let num_symbols = buf.get_u64_le();
-    let _payload_crc = buf.get_u32_le();
-    let stored = buf.get_u32_le();
-    let got = crc32(&bytes[..RAW_HEADER_LEN - 4]);
-    if got != stored {
-        return Err(HuffError::ChecksumMismatch {
-            section: crate::integrity::Section::Header,
-            chunk: None,
-            expected: stored,
-            got,
-        });
-    }
-    Ok((symbol_bytes, num_symbols))
-}
-
-/// Decode an `RSHR` container under the usual verification and recovery
-/// policy. Strict mode requires the payload complete and its checksum
-/// passing; best-effort mode recovers the available prefix and
-/// sentinel-fills the rest, reporting the loss as one opaque damaged
-/// chunk (the container has no finer structure).
-pub fn decompress_raw_with(bytes: &[u8], opts: &DecompressOptions) -> Result<Recovered> {
-    let (symbol_bytes, num_symbols) = raw_info(bytes)?;
-    let n: usize = num_symbols
-        .try_into()
-        .map_err(|_| HuffError::BadArchive("raw container: count exceeds address space".into()))?;
-    let want = n * symbol_bytes as usize;
-    let payload = &bytes[RAW_HEADER_LEN.min(bytes.len())..];
-    let avail = payload.len().min(want);
-    let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-
-    let crc_ok = avail == want && crc32(&payload[..want]) == stored_crc;
-    let complete = match opts.verify {
-        Verify::None | Verify::HeadersOnly => avail == want,
-        Verify::Full => crc_ok,
-    };
-    if !complete && opts.mode == RecoveryMode::Strict {
-        if avail < want {
-            return Err(HuffError::BadArchive("raw container: truncated payload".into()));
-        }
-        return Err(HuffError::ChecksumMismatch {
-            section: crate::integrity::Section::Payload,
-            chunk: Some(0),
-            expected: stored_crc,
-            got: crc32(&payload[..want]),
-        });
-    }
-
-    let whole = avail / symbol_bytes as usize;
-    let decode = |i: usize| -> u16 {
-        if symbol_bytes == 1 {
-            u16::from(payload[i])
-        } else {
-            u16::from_le_bytes([payload[2 * i], payload[2 * i + 1]])
-        }
-    };
-    let mut symbols: Vec<u16> = (0..whole.min(n)).map(decode).collect();
-    let mut report = RecoveryReport::clean(1);
-    if !complete {
-        // Best-effort: a CRC failure without truncation cannot localize
-        // damage (one checksum spans the payload), so only the length is
-        // trustworthy; truncation keeps the intact prefix.
-        let keep = if avail < want { symbols.len() } else { 0 };
-        symbols.truncate(keep);
-        symbols.resize(n, opts.sentinel);
-        report.damaged_chunks.push(0);
-        report.damaged_ranges.push((keep, n));
-        report.symbols_lost = n - keep;
-    }
-    crate::metrics::registry::global().record_decompress(
-        bytes.len() as u64,
-        symbols.len() as u64 * u64::from(symbol_bytes),
-        1,
-        report.damaged_chunks.len(),
-    );
-    Ok(Recovered { symbols, report })
-}
-
-/// Range-read an `RSHR` container. The stored payload *is* the decoded
-/// output (symbols at their native width, little-endian), so a range
-/// read is a bounds-checked slice — the raw container's analogue of the
-/// seek index. `range` is clamped to the payload's extent; under
-/// [`Verify::Full`] the payload checksum is still verified first
-/// (the container has no finer-grained checksums to verify per range).
-pub fn raw_range(
-    bytes: &[u8],
-    range: std::ops::Range<u64>,
-    opts: &DecompressOptions,
-) -> Result<RangeDecode> {
-    if range.start > range.end {
-        return Err(HuffError::BadArchive(format!(
-            "raw container: byte range {}..{} is inverted",
-            range.start, range.end
-        )));
-    }
-    let (symbol_bytes, num_symbols) = raw_info(bytes)?;
-    let n: usize = num_symbols
-        .try_into()
-        .map_err(|_| HuffError::BadArchive("raw container: count exceeds address space".into()))?;
-    let want = n * symbol_bytes as usize;
-    let lo = (range.start.min(want as u64)) as usize;
-    let hi = (range.end.min(want as u64)) as usize;
-    let payload = &bytes[RAW_HEADER_LEN.min(bytes.len())..];
-    let avail = payload.len().min(want);
-    let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-
-    let crc_ok = avail == want && crc32(&payload[..want]) == stored_crc;
-    let complete = match opts.verify {
-        Verify::None | Verify::HeadersOnly => avail == want,
-        Verify::Full => crc_ok,
-    };
-    let mut report = RecoveryReport::clean(1);
-    let out: Vec<u8> = if complete {
-        payload[lo..hi].to_vec()
-    } else if opts.mode == RecoveryMode::Strict {
-        if avail < want {
-            return Err(HuffError::BadArchive("raw container: truncated payload".into()));
-        }
-        return Err(HuffError::ChecksumMismatch {
-            section: crate::integrity::Section::Payload,
-            chunk: Some(0),
-            expected: stored_crc,
-            got: crc32(&payload[..want]),
-        });
-    } else {
-        // Best-effort mirrors decompress_raw_with: a truncation keeps the
-        // intact whole-symbol prefix, an unlocalizable CRC failure keeps
-        // nothing; the rest reads as sentinel bytes.
-        let keep_syms = if avail < want { avail / symbol_bytes as usize } else { 0 };
-        let keep_bytes = keep_syms * symbol_bytes as usize;
-        let sentinel = opts.sentinel.to_le_bytes();
-        report.damaged_chunks.push(0);
-        report.damaged_ranges.push((keep_syms, n));
-        report.symbols_lost = n - keep_syms;
-        (lo..hi)
-            .map(|p| if p < keep_bytes { payload[p] } else { sentinel[p % symbol_bytes as usize] })
-            .collect()
-    };
-    let touched = usize::from(hi > lo);
-    crate::metrics::registry::global().record_range_decode(out.len() as u64, touched, 1, 0, false);
-    Ok(RangeDecode {
-        bytes: out,
-        report,
-        chunks_touched: touched,
-        total_chunks: 1,
-        index_probes: 0,
-        index_used: false,
-    })
-}
-
-/// Check an `RSHR` container's checksums without materializing symbols.
-pub fn verify_raw(bytes: &[u8]) -> Result<RecoveryReport> {
-    let (symbol_bytes, num_symbols) = raw_info(bytes)?;
-    let want = num_symbols as usize * symbol_bytes as usize;
-    let payload = &bytes[RAW_HEADER_LEN.min(bytes.len())..];
-    let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-    let mut report = RecoveryReport::clean(1);
-    if payload.len() < want || crc32(&payload[..want]) != stored_crc {
-        let keep = (payload.len().min(want)) / symbol_bytes as usize;
-        let keep = if payload.len() < want { keep } else { 0 };
-        report.damaged_chunks.push(0);
-        report.damaged_ranges.push((keep, num_symbols as usize));
-        report.symbols_lost = num_symbols as usize - keep;
-    }
-    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1195,6 +958,9 @@ impl Tuner {
 mod tests {
     use super::*;
     use crate::archive::decompress;
+    use crate::container::{store_raw, Kind};
+    use crate::error::HuffError;
+    use crate::integrity::DecompressOptions;
 
     fn skewed(n: usize) -> Vec<u16> {
         (0..n)
@@ -1282,13 +1048,12 @@ mod tests {
         let data = skewed(5000);
         for sb in [1u8, 2u8] {
             let raw = store_raw(&data, sb).unwrap();
-            assert!(is_raw(&raw));
-            let (w, n) = raw_info(&raw).unwrap();
-            assert_eq!((w, n), (sb, 5000));
-            let rec = decompress_raw_with(&raw, &DecompressOptions::default()).unwrap();
+            let info = container::info(&raw).unwrap();
+            assert_eq!((info.kind, info.symbol_bytes, info.num_symbols), (Kind::Raw, sb, 5000));
+            let rec = archive::decompress_with(&raw, &DecompressOptions::default()).unwrap();
             assert_eq!(rec.symbols, data);
             assert!(rec.report.is_clean());
-            assert!(verify_raw(&raw).unwrap().is_clean());
+            assert!(archive::verify(&raw).unwrap().is_clean());
         }
     }
 
@@ -1304,23 +1069,23 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0x40;
         assert!(matches!(
-            decompress_raw_with(&raw, &DecompressOptions::default()),
+            archive::decompress_with(&raw, &DecompressOptions::default()),
             Err(HuffError::ChecksumMismatch { .. })
         ));
-        let rec = decompress_raw_with(&raw, &DecompressOptions::best_effort()).unwrap();
+        let rec = archive::decompress_with(&raw, &DecompressOptions::best_effort()).unwrap();
         assert_eq!(rec.symbols.len(), data.len());
         assert!(!rec.report.is_clean());
-        assert!(!verify_raw(&raw).unwrap().is_clean());
+        assert!(!archive::verify(&raw).unwrap().is_clean());
     }
 
     #[test]
     fn raw_truncation_keeps_prefix_best_effort() {
         let data = skewed(4000);
         let raw = store_raw(&data, 2).unwrap();
-        let cut = RAW_HEADER_LEN + 1000;
-        assert!(decompress_raw_with(&raw[..cut], &DecompressOptions::default()).is_err());
+        let cut = 24 + 1000; // the 24-byte header plus 500 symbols
+        assert!(archive::decompress_with(&raw[..cut], &DecompressOptions::default()).is_err());
         let opts = DecompressOptions::best_effort().with_sentinel(0xBEEF);
-        let rec = decompress_raw_with(&raw[..cut], &opts).unwrap();
+        let rec = archive::decompress_with(&raw[..cut], &opts).unwrap();
         assert_eq!(rec.symbols.len(), data.len());
         assert_eq!(&rec.symbols[..500], &data[..500]);
         assert!(rec.symbols[500..].iter().all(|&s| s == 0xBEEF));
@@ -1332,7 +1097,7 @@ mod tests {
         let data = skewed(100);
         let mut raw = store_raw(&data, 2).unwrap();
         raw[9] ^= 0x01; // num_symbols field
-        assert!(decompress_raw_with(&raw, &DecompressOptions::best_effort()).is_err());
+        assert!(archive::decompress_with(&raw, &DecompressOptions::best_effort()).is_err());
     }
 
     #[test]
@@ -1458,7 +1223,7 @@ mod tests {
             modeled_nanos: 0,
         };
         let frame = compress_with_decision(&big, 64, 2, &d, &v100).unwrap();
-        assert!(crate::frame::is_frame(&frame));
+        assert_eq!(container::sniff(&frame).unwrap(), Kind::Frame);
         assert_eq!(archive::decompress(&frame).unwrap(), big);
     }
 

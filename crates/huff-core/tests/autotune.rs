@@ -17,6 +17,7 @@
 use gpu_sim::DeviceSpec;
 use huff_core::archive::{self, CompressOptions};
 use huff_core::batch::{self, BatchOptions};
+use huff_core::container;
 use huff_core::integrity::DecompressOptions;
 use huff_core::tune::{self, Dispatch, TuneCache, Tuner};
 use proptest::prelude::*;
@@ -44,7 +45,7 @@ fn explicit_bytes(
     device: &DeviceSpec,
 ) -> Vec<u8> {
     match decision.dispatch {
-        Dispatch::StoreRaw => tune::store_raw(symbols, symbol_bytes).unwrap(),
+        Dispatch::StoreRaw => container::store_raw(symbols, symbol_bytes).unwrap(),
         Dispatch::CpuSerial => {
             let mut opts = CompressOptions::new(num_symbols);
             opts.reduction = Some(decision.reduction.max(1));

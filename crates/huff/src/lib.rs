@@ -44,10 +44,10 @@ pub use huff_core::batch::{compress_batched, BatchOptions, BatchReport};
 pub use huff_core::pipeline::{self, PipelineKind, PipelineReport};
 pub use huff_core::serve::{ChaosConfig, Engine, EngineConfig, Outcome, Request, ServeReport};
 pub use huff_core::{
-    batch, codebook, decode, encode, entropy, frame, histogram, integrity, kernels, serve, sparse,
-    tree, BreakingStrategy, CanonicalCodebook, ChunkedStream, Codeword, DecompressOptions,
-    EncodedStream, HuffError, MergeConfig, Recovered, RecoveryMode, RecoveryReport, Result,
-    Section, Verify,
+    batch, codebook, container, decode, encode, entropy, frame, histogram, integrity, kernels,
+    serve, sparse, tree, BreakingStrategy, CanonicalCodebook, ChunkedStream, Codeword,
+    DecompressOptions, EncodedStream, HuffError, MergeConfig, Recovered, RecoveryMode,
+    RecoveryReport, Result, Section, Verify,
 };
 pub use huff_datasets::PaperDataset;
 

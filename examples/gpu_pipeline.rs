@@ -5,6 +5,7 @@
 //! cargo run --release -p huff --example gpu_pipeline
 //! ```
 
+use huff::decode::DecoderKind;
 use huff::prelude::*;
 
 fn main() -> Result<(), HuffError> {
@@ -16,7 +17,8 @@ fn main() -> Result<(), HuffError> {
         println!("=== {} ===", gpu.spec().name);
         let (stream, book, report) =
             pipeline::run(&gpu, &data, sb, 1024, 10, Some(3), PipelineKind::ReduceShuffle)?;
-        let (decoded, _) = huff::decode::gpu::decode_on_gpu(&gpu, &stream, &book)?;
+        let (decoded, _) =
+            huff::decode::gpu::decode_kind_on_gpu(&gpu, &stream, &book, DecoderKind::Chunked)?;
         assert_eq!(decoded, data);
 
         println!("{:<26} {:>9} {:>12} {:>10}", "kernel", "launches", "time ms", "share %");

@@ -13,6 +13,7 @@
 
 use huff::huff_core::archive;
 use huff::huff_core::batch::{compress_batched, BatchOptions};
+use huff::huff_core::container;
 use huff::huff_core::frame;
 use huff::huff_core::metrics;
 use huff::prelude::*;
@@ -55,7 +56,7 @@ fn two_stream_double_buffered_64mb_beats_serial_pipeline() {
 fn per_stream_invariants_hold_on_64mb_run() {
     let (syms, opts) = opts_64mb();
     let (frame_bytes, profile) = metrics::profile_compress_batched(&syms, &opts).unwrap();
-    assert!(frame::is_frame(&frame_bytes));
+    assert_eq!(container::sniff(&frame_bytes).unwrap(), container::Kind::Frame);
 
     let tl = &profile.report.devices[0].timeline;
     for sm in &profile.streams {
