@@ -28,8 +28,9 @@
 //! their normal output. `--device` selects the modeled part
 //! (`v100` default, `rtx5000`). `--roofline` classifies every kernel
 //! against the device roofline (see DESIGN.md § "Roofline & counters");
-//! `stats` dumps the process-wide metrics registry after one real
-//! operation (the scrape surface a service would expose).
+//! `stats` runs one real operation, counts it into a fresh metrics
+//! registry and dumps that registry (the scrape surface a service would
+//! expose).
 //!
 //! Exit codes are distinct and scriptable:
 //!
@@ -45,12 +46,13 @@
 //! machine-readable one-line JSON recovery report on stdout.
 
 use huff_core::archive::{self, CompressOptions};
-use huff_core::batch::BatchOptions;
+use huff_core::batch::{BatchOptions, QuarantineReport};
 use huff_core::container::{self, Kind};
 use huff_core::encode::BreakingStrategy;
 use huff_core::frame;
 use huff_core::integrity::{DecompressOptions, RecoveryReport};
-use huff_core::metrics;
+use huff_core::metrics::{self, Registry};
+use huff_core::tune::Decision;
 use std::process::ExitCode;
 
 mod serve;
@@ -158,8 +160,8 @@ histogram kernel, no standalone length kernel, coalesced backtrace; see
 DESIGN.md § \"Kernel fusion\") in one command. Fusion is encode-side only, so
 --compare rejects archive inputs.
 
-stats resets the process-wide metrics registry, runs one real operation
-(compress for raw inputs, decompress for archives/frames), and dumps the
+stats runs one real operation (compress for raw inputs, decompress for
+archives/frames), counts it into a fresh metrics registry, and dumps that
 registry as Prometheus text exposition (--json for the JSON export) — the
 scrape surface a long-running service would expose. bytes_out reconciles with
 the archive size, shards_total with the frame shard count.
@@ -198,11 +200,12 @@ are bit-exact; with --trace the modeled kernel times differ (see DESIGN.md).
 
 serve runs the fault-tolerant serving engine behind a minimal HTTP/1.1 listener
 (one request per connection; see FORMAT.md §8): POST /compress and
-POST /decompress carry raw payload bytes, GET /metrics exposes the Prometheus
-registry (same surface as stats), GET /healthz answers liveness. Requests past
-the bounded --queue are shed with 429; deadline misses (x-rsh-deadline-ms
-header or --deadline-ms) answer 504; unrecoverable payloads answer 500 — all
-with a structured rsh-error-v1 JSON body and an x-rsh-trace-id header.
+POST /decompress carry raw payload bytes, GET /metrics exposes the engine's
+Prometheus registry (same format as stats), GET /healthz answers liveness.
+Requests past the bounded --queue are shed with 429; deadline misses
+(x-rsh-deadline-ms header or --deadline-ms) answer 504; unrecoverable payloads
+answer 500 — all with a structured rsh-error-v1 JSON body and an
+x-rsh-trace-id header.
 --chaos SEED injects the deterministic fault storm (transients, decoder
 glitches, payload corruption, device loss) from huff_core::serve. Virtual
 arrival time advances --gap-us per request; --max-requests stops after N
@@ -534,7 +537,7 @@ fn cmd_compress(args: &[String]) -> CmdResult {
                     .into(),
             ));
         }
-        let packed = autotune_compress(&f, &syms, default_bins)?;
+        let (packed, _, _) = autotune_compress(&f, &syms, default_bins)?;
         write_file(output, &packed)?;
         eprintln!(
             "{} -> {} bytes ({:.3}x)",
@@ -593,8 +596,13 @@ fn cmd_compress(args: &[String]) -> CmdResult {
 
 /// `compress --autotune`: dispatch by the tuner's decision (store-raw /
 /// CPU-serial / tuned batched GPU; see `huff_core::tune`) and print what
-/// was decided and whether it came from the tuning cache.
-fn autotune_compress(f: &Flags, syms: &[u16], default_bins: usize) -> Result<Vec<u8>, CliError> {
+/// was decided and whether it came from the tuning cache. Returns the
+/// container bytes, the decision, and whether it was a cache hit.
+fn autotune_compress(
+    f: &Flags,
+    syms: &[u16],
+    default_bins: usize,
+) -> Result<(Vec<u8>, Decision, bool), CliError> {
     let mut tuner = f.tuner()?;
     let bins = f.bins.unwrap_or(default_bins);
     let (packed, decision, hit) = tuner
@@ -620,7 +628,7 @@ fn autotune_compress(f: &Flags, syms: &[u16], default_bins: usize) -> Result<Vec
             tuner.misses,
         );
     }
-    Ok(packed)
+    Ok((packed, decision, hit))
 }
 
 /// `compress --shards/--streams/--devices/--buffers`: the sharded
@@ -968,22 +976,37 @@ fn cmd_profile_compare(f: &Flags, raw: &[u8], is_archive: bool) -> CmdResult {
     Ok(0)
 }
 
-/// `rsh stats <input> [output]`: reset the process-wide metrics registry,
-/// run one real operation (compress for raw files — batched when the
-/// batch flags are given — decompress for archives and frames), and dump
-/// the registry on stdout as Prometheus text exposition (or JSON with
-/// `--json`). The counters reconcile with the operation: `bytes_out`
-/// equals the archive size after a compress, `shards_total` the frame's
-/// shard count.
+/// `rsh stats <input> [output]`: run one real operation (compress for
+/// raw files — batched when the batch flags are given — decompress for
+/// archives and frames) and dump the registry it was counted into on
+/// stdout as Prometheus text exposition (or JSON with `--json`). The
+/// counters reconcile with the operation: `bytes_out` equals the archive
+/// size after a compress, `shards_total` the frame's shard count.
 fn cmd_stats(args: &[String]) -> CmdResult {
     let f = parse_flags(args)?;
+    let (reg, lossy) = stats_registry(&f)?;
+    if f.json {
+        println!("{}", reg.to_json());
+    } else {
+        print!("{}", reg.render());
+    }
+    if lossy {
+        Ok(EXIT_RECOVERED_WITH_LOSSES)
+    } else {
+        Ok(0)
+    }
+}
+
+/// The operation behind `rsh stats`, counted into a fresh registry.
+/// Returns the registry and whether a best-effort decompress lost data.
+fn stats_registry(f: &Flags) -> Result<(Registry, bool), CliError> {
     let (input, output) = match f.positional.as_slice() {
         [input] => (input, None),
         [input, output] => (input, Some(output)),
         _ => return Err(CliError::Usage("stats needs <input> [output]".into())),
     };
     let raw = read_file(input)?;
-    metrics::registry::global().reset();
+    let mut reg = Registry::new();
 
     let lossy = if container::sniff(&raw).is_ok() {
         let mut opts = if f.best_effort {
@@ -999,9 +1022,9 @@ fn cmd_stats(args: &[String]) -> CmdResult {
         }
         let rec =
             archive::decompress_with(&raw, &opts).map_err(|e| CliError::Corrupt(e.to_string()))?;
+        reg.record_decompress(&raw, &rec, opts.decoder);
         if let Some(path) = output {
-            let info = container::info(&raw).map_err(|e| CliError::Corrupt(e.to_string()))?;
-            let decoded = symbols::SymbolWidth::from_bytes(info.symbol_bytes)
+            let decoded = symbols::SymbolWidth::from_bytes(rec.symbol_bytes)
                 .map_err(CliError::Corrupt)?
                 .encode(&rec.symbols);
             write_file(path, &decoded)?;
@@ -1009,8 +1032,12 @@ fn cmd_stats(args: &[String]) -> CmdResult {
         !rec.report.is_clean()
     } else {
         let (syms, default_bins) = f.symbols.decode(&raw).map_err(CliError::Corrupt)?;
+        let bytes_in = syms.len() as u64 * u64::from(f.symbols.bytes());
         let packed = if f.autotune {
-            autotune_compress(&f, &syms, default_bins)?
+            let (packed, decision, hit) = autotune_compress(f, &syms, default_bins)?;
+            reg.record_tune(&decision, hit);
+            reg.record_compress(bytes_in, &packed);
+            packed
         } else if f.batched() {
             let mut opts = BatchOptions::new(f.bins.unwrap_or(default_bins));
             if let Some(n) = f.shards {
@@ -1024,33 +1051,26 @@ fn cmd_stats(args: &[String]) -> CmdResult {
             opts.magnitude = f.magnitude;
             opts.reduction = f.reduction;
             opts.symbol_bytes = f.symbols.bytes();
-            huff_core::batch::compress_batched(&syms, &opts)
-                .map_err(|e| CliError::Corrupt(e.to_string()))?
-                .0
+            let (frame, report) = huff_core::batch::compress_batched(&syms, &opts)
+                .map_err(|e| CliError::Corrupt(e.to_string()))?;
+            reg.record_batch_compress(&frame, &report, &QuarantineReport::default());
+            frame
         } else {
             let mut opts = CompressOptions::new(f.bins.unwrap_or(default_bins));
             opts.magnitude = f.magnitude;
             opts.reduction = f.reduction;
             opts.symbol_bytes = f.symbols.bytes();
-            archive::compress(&syms, &opts).map_err(|e| CliError::Corrupt(e.to_string()))?
+            let packed =
+                archive::compress(&syms, &opts).map_err(|e| CliError::Corrupt(e.to_string()))?;
+            reg.record_compress(bytes_in, &packed);
+            packed
         };
         if let Some(path) = output {
             write_file(path, &packed)?;
         }
         false
     };
-
-    let reg = metrics::registry::global();
-    if f.json {
-        println!("{}", reg.to_json());
-    } else {
-        print!("{}", reg.render());
-    }
-    if lossy {
-        Ok(EXIT_RECOVERED_WITH_LOSSES)
-    } else {
-        Ok(0)
-    }
+    Ok((reg, lossy))
 }
 
 fn cmd_bench(args: &[String]) -> CmdResult {
@@ -1122,14 +1142,6 @@ fn cmd_bench(args: &[String]) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Serializes the tests that reset or read the process-wide metrics
-    /// registry (`cmd_stats` resets it), so none observes another's reset.
-    fn registry_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("rsh-cli-tests");
@@ -1624,35 +1636,34 @@ mod tests {
         assert!(r.contains("enc_reduce_merge"));
     }
 
+    /// `stats_registry` on CLI-style arguments.
+    fn stats(args: &[String]) -> (Registry, bool) {
+        stats_registry(&parse_flags(args).unwrap()).unwrap()
+    }
+
     #[test]
     fn stats_compresses_raw_input_and_writes_output() {
-        let _g = registry_lock();
         let input = tmp("stats.bin");
         let packed = tmp("stats.rsh");
         let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 71) as u8).collect();
         std::fs::write(&input, &payload).unwrap();
 
-        let args: Vec<String> = vec![input, packed.clone()];
-        assert_eq!(cmd_stats(&args).unwrap(), 0);
+        let (reg, lossy) = stats(&[input, packed.clone()]);
+        assert!(!lossy);
 
         // The operation is real: the written archive roundtrips, and the
-        // registry saw at least its bytes (exact reconciliation is
-        // asserted in tests/roofline_metrics.rs — other tests here still
-        // add to the process-wide registry concurrently).
+        // registry (fresh per call) counted exactly its bytes.
         let archive_bytes = std::fs::read(&packed).unwrap();
         let restored = tmp("stats.out");
         cmd_decompress(&[packed, restored.clone()].map(String::from)).unwrap();
         assert_eq!(std::fs::read(&restored).unwrap(), payload);
-        let g = metrics::registry::global();
-        assert!(
-            g.get("rsh_bytes_out_total", &[("direction", "compress")])
-                >= archive_bytes.len() as f64
-        );
+        let d = [("direction", "compress")];
+        assert_eq!(reg.get("rsh_bytes_out_total", &d), archive_bytes.len() as f64);
+        assert_eq!(reg.get("rsh_runs_total", &d), 1.0);
     }
 
     #[test]
     fn stats_handles_archives_and_frames() {
-        let _g = registry_lock();
         let input = tmp("statsa.bin");
         let packed = tmp("statsa.rsh");
         let payload: Vec<u8> = (0..40_000u32).map(|i| (i % 53) as u8).collect();
@@ -1668,11 +1679,19 @@ mod tests {
         // Frame input via the batched compress path.
         let frame = tmp("statsa.rshm");
         let args: Vec<String> = vec![input, frame.clone(), "--shards".into(), "4".into()];
-        assert_eq!(cmd_stats(&args).unwrap(), 0);
+        let (reg, _) = stats(&args);
+        assert_eq!(reg.get("rsh_shards_total", &[]), 4.0);
         let bytes = std::fs::read(&frame).unwrap();
         assert_eq!(&bytes[..4], b"RSHM");
         let rframe = tmp("statsa.rshm.out");
-        assert_eq!(cmd_stats(&[frame, rframe.clone()].map(String::from)).unwrap(), 0);
+        let (reg, lossy) = stats(&[frame, rframe.clone()].map(String::from));
+        assert!(!lossy);
         assert_eq!(std::fs::read(&rframe).unwrap(), payload);
+        // One frame decompress: one run over the whole frame, four shards.
+        let d = [("direction", "decompress")];
+        assert_eq!(reg.get("rsh_runs_total", &d), 1.0);
+        assert_eq!(reg.get("rsh_bytes_in_total", &d), bytes.len() as f64);
+        assert_eq!(reg.get("rsh_shards_total", &[]), 4.0);
+        assert_eq!(reg.get("rsh_shards_ok_total", &[]), 4.0);
     }
 }

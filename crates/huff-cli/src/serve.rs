@@ -19,10 +19,11 @@
 //!
 //! Every response carries `x-rsh-trace-id`, echoing the caller's
 //! `x-rsh-trace-id` header or a generated `rsh-<n>` ID. `GET /metrics`
-//! exposes the process-global registry in Prometheus text exposition —
-//! the same surface as `rsh stats` — including the serve counters
-//! (requests, retries, sheds, deadline misses, degradations, queue
-//! wait). Virtual arrival times advance `--gap-us` per request, so a
+//! renders the engine's own registry ([`Engine::metrics`]) in Prometheus
+//! text exposition — the same format as `rsh stats` — with the serve
+//! counters (requests, retries, sheds, deadline misses, degradations,
+//! queue wait) and one count per compress, decompress and range read the
+//! engine ran. Virtual arrival times advance `--gap-us` per request, so a
 //! gap smaller than the modeled service time drives the queue into
 //! admission control deterministically.
 //!
@@ -42,7 +43,6 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use huff_core::container;
-use huff_core::metrics;
 use huff_core::metrics::latency::LatencyHistogram;
 use huff_core::serve::{ChaosConfig, Completion, Engine, EngineConfig, Outcome, Request, Response};
 use huff_core::slo::Objective;
@@ -419,7 +419,7 @@ fn handle_connection(
             write_response(stream, 200, "OK", "application/json", &[], b"{\"status\":\"ok\"}");
         }
         ("GET", "/metrics") => {
-            let text = metrics::registry::global().render();
+            let text = engine.metrics().render();
             write_response(stream, 200, "OK", "text/plain; version=0.0.4", &[], text.as_bytes());
         }
         ("POST", "/compress") | ("POST", "/decompress") => {
@@ -584,5 +584,40 @@ mod tests {
             assert_eq!(stats.p999, h.quantile(0.999), "request {i}: p999 diverged");
         }
         assert!(sheds > 0, "the overload must exercise the shed path");
+    }
+
+    /// `GET /metrics` renders exactly the engine's own registry, library
+    /// counts included.
+    #[test]
+    fn metrics_route_renders_the_engine_registry() {
+        let mut cfg = EngineConfig::new(256);
+        cfg.batch.shard_symbols = 4096;
+        cfg.batch.symbol_bytes = 1;
+        let mut eng = Engine::new(cfg);
+        let syms: Vec<u16> = (0..10_000).map(|i| (i % 61) as u16).collect();
+        let c = eng.submit(Request::compress("c0", 0.0, syms)).unwrap();
+        let Some(Response::Frame(frame)) = c.response.clone() else {
+            panic!("compress must answer with a frame")
+        };
+        eng.submit(Request::decompress("d0", 1.0, frame)).unwrap();
+        let expected = eng.metrics().render();
+        assert!(expected.contains("rsh_runs_total{direction=\"decompress\"} 1"), "{expected}");
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(b"GET /metrics HTTP/1.1\r\nhost: test\r\n\r\n").unwrap();
+            let mut reply = Vec::new();
+            conn.read_to_end(&mut reply).unwrap();
+            reply
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        handle_connection(&mut eng, &mut conn, 2, 1e-3, None, None);
+        drop(conn);
+        let reply = client.join().unwrap();
+        let split = find_header_end(&reply).expect("response headers");
+        assert!(reply.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert_eq!(String::from_utf8_lossy(&reply[split + 4..]), expected);
     }
 }

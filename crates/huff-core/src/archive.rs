@@ -48,7 +48,8 @@ use crate::encode::{self, BreakingStrategy, ChunkedStream, MergeConfig};
 use crate::error::{HuffError, Result};
 use crate::histogram;
 use crate::integrity::{
-    crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section, Verify,
+    crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section,
+    ShardTally, Verify,
 };
 use crate::seek::ChunkIndex;
 use crate::sparse::SparseOutliers;
@@ -107,9 +108,7 @@ pub fn compress(symbols: &[u16], opts: &CompressOptions) -> Result<Vec<u8>> {
             num_symbols: 0,
             outliers: SparseOutliers::new(),
         };
-        let packed = serialize(&stream, &CanonicalCodebook::empty(), opts.symbol_bytes)?;
-        crate::metrics::registry::global().record_compress(0, packed.len() as u64, 1.0, 0);
-        return Ok(packed);
+        return serialize(&stream, &CanonicalCodebook::empty(), opts.symbol_bytes);
     }
     let freqs =
         histogram::parallel_cpu::histogram(symbols, opts.num_symbols, rayon::current_num_threads());
@@ -119,18 +118,7 @@ pub fn compress(symbols: &[u16], opts: &CompressOptions) -> Result<Vec<u8>> {
         None => MergeConfig::auto::<u32>(opts.magnitude, &freqs, &book),
     };
     let stream = encode::reduce_shuffle::encode(symbols, &book, config, opts.strategy)?;
-    let packed = serialize(&stream, &book, opts.symbol_bytes)?;
-    {
-        let bytes_in = symbols.len() as u64 * u64::from(opts.symbol_bytes);
-        let ratio = if packed.is_empty() { 1.0 } else { bytes_in as f64 / packed.len() as f64 };
-        crate::metrics::registry::global().record_compress(
-            bytes_in,
-            packed.len() as u64,
-            ratio,
-            stream.num_chunks(),
-        );
-    }
-    Ok(packed)
+    serialize(&stream, &book, opts.symbol_bytes)
 }
 
 /// Decompress an archive produced by [`compress`].
@@ -165,30 +153,25 @@ pub fn decompress_with(archive: &[u8], opts: &DecompressOptions) -> Result<Recov
 /// decode through here, so a shard body is never re-dispatched.
 pub(crate) fn decompress_archive(archive: &[u8], opts: &DecompressOptions) -> Result<Recovered> {
     let parsed = deserialize_with(archive, opts)?;
-    let recovered = match opts.mode {
+    let (symbols, report) = match opts.mode {
         RecoveryMode::Strict => {
             let symbols = decode::decode_stream(&parsed.stream, &parsed.book, opts.decoder)?;
-            let report = RecoveryReport::clean(parsed.stream.num_chunks());
-            Recovered { symbols, report }
+            (symbols, RecoveryReport::clean(parsed.stream.num_chunks()))
         }
-        RecoveryMode::BestEffort => {
-            let (symbols, report) = decode::decode_stream_best_effort(
-                &parsed.stream,
-                &parsed.book,
-                &parsed.chunk_damage,
-                opts.sentinel,
-                opts.decoder,
-            );
-            Recovered { symbols, report }
-        }
+        RecoveryMode::BestEffort => decode::decode_stream_best_effort(
+            &parsed.stream,
+            &parsed.book,
+            &parsed.chunk_damage,
+            opts.sentinel,
+            opts.decoder,
+        ),
     };
-    crate::metrics::registry::global().record_decompress(
-        archive.len() as u64,
-        recovered.symbols.len() as u64 * u64::from(parsed.symbol_bytes.max(1)),
-        recovered.report.total_chunks,
-        recovered.report.damaged_chunks.len(),
-    );
-    Ok(recovered)
+    Ok(Recovered {
+        symbols,
+        report,
+        symbol_bytes: parsed.symbol_bytes,
+        shards: ShardTally::default(),
+    })
 }
 
 /// Check an archive's checksums without decoding the payload.
@@ -218,7 +201,6 @@ pub(crate) fn decompress_archive(archive: &[u8], opts: &DecompressOptions) -> Re
 /// assert_eq!(report.damaged_chunks.len(), 1);
 /// ```
 pub fn verify(archive: &[u8]) -> Result<RecoveryReport> {
-    crate::metrics::registry::global().record_verify();
     match container::sniff(archive)? {
         Kind::Archive => verify_archive(archive),
         Kind::Frame => crate::frame::verify(archive),
@@ -957,7 +939,7 @@ pub(crate) fn decode_archive_range(
     opts: &DecompressOptions,
 ) -> Result<RangeDecode> {
     let w = range_window(archive, range, opts)?;
-    let out = match opts.mode {
+    Ok(match opts.mode {
         RecoveryMode::Strict => {
             let symbols = decode::decode_stream(&w.stream, &w.book, opts.decoder)?;
             let report = RecoveryReport::clean(w.chunk_hi - w.chunk_lo);
@@ -973,15 +955,7 @@ pub(crate) fn decode_archive_range(
             );
             w.finish(&symbols, report)
         }
-    };
-    crate::metrics::registry::global().record_range_decode(
-        out.bytes.len() as u64,
-        out.chunks_touched,
-        out.total_chunks,
-        out.index_probes,
-        out.index_used,
-    );
-    Ok(out)
+    })
 }
 
 #[cfg(test)]

@@ -574,16 +574,6 @@ fn run_batch(
     };
     let quarantine =
         QuarantineReport { failed_devices, quarantined, rescheduled, recovery_seconds };
-    {
-        let mut reg = crate::metrics::registry::global();
-        let ratio =
-            if frame.is_empty() { 1.0 } else { report.input_bytes as f64 / frame.len() as f64 };
-        reg.record_compress(report.input_bytes, frame.len() as u64, ratio, 0);
-        reg.record_shards_built(report.shards.len());
-        if !quarantine.is_clean() {
-            reg.record_shards_quarantined(quarantine.quarantined.len());
-        }
-    }
     Ok((frame, report, quarantine))
 }
 

@@ -21,7 +21,8 @@ use crate::archive;
 use crate::error::{HuffError, Result};
 use crate::frame;
 use crate::integrity::{
-    crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section, Verify,
+    crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section,
+    ShardTally, Verify,
 };
 use bytes::{Buf, BufMut, BytesMut};
 use std::ops::Range;
@@ -249,13 +250,7 @@ pub(crate) fn decompress_raw(bytes: &[u8], opts: &DecompressOptions) -> Result<R
         symbols.resize(raw.num_symbols, opts.sentinel);
         report
     };
-    crate::metrics::registry::global().record_decompress(
-        bytes.len() as u64,
-        symbols.len() as u64 * u64::from(raw.symbol_bytes),
-        1,
-        report.damaged_chunks.len(),
-    );
-    Ok(Recovered { symbols, report })
+    Ok(Recovered { symbols, report, symbol_bytes: raw.symbol_bytes, shards: ShardTally::default() })
 }
 
 /// Range-read an `RSHR` container. The stored payload *is* the decoded
@@ -294,12 +289,10 @@ pub(crate) fn raw_range(
             .collect();
         (out, report)
     };
-    let touched = usize::from(hi > lo);
-    crate::metrics::registry::global().record_range_decode(out.len() as u64, touched, 1, 0, false);
     Ok(RangeDecode {
         bytes: out,
         report,
-        chunks_touched: touched,
+        chunks_touched: usize::from(hi > lo),
         total_chunks: 1,
         index_probes: 0,
         index_used: false,

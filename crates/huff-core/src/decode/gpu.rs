@@ -273,7 +273,6 @@ pub fn decode_kind_on_gpu(
     book: &CanonicalCodebook,
     kind: DecoderKind,
 ) -> Result<(Vec<u16>, f64)> {
-    crate::metrics::registry::global().record_decode_backend(kind.name());
     let (out, secs) = launch(gpu, stream, book, kind, Recovery::Strict);
     Ok((out?.0, secs))
 }
@@ -290,7 +289,6 @@ pub fn decode_kind_best_effort_on_gpu(
     sentinel: u16,
     kind: DecoderKind,
 ) -> (Vec<u16>, RecoveryReport, f64) {
-    crate::metrics::registry::global().record_decode_backend(kind.name());
     let recovery = Recovery::BestEffort { damage: chunk_damage, sentinel };
     let (out, secs) = launch(gpu, stream, book, kind, recovery);
     let (symbols, report) = out.expect("best-effort host decoding never fails");
@@ -347,13 +345,6 @@ pub fn decode_range_on_gpu(
             }
         }
     };
-    crate::metrics::registry::global().record_range_decode(
-        r.bytes.len() as u64,
-        r.chunks_touched,
-        r.total_chunks,
-        r.index_probes,
-        r.index_used,
-    );
     Ok((r, probe_cost.total + decode_secs))
 }
 

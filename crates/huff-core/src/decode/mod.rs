@@ -70,7 +70,6 @@ pub fn decode_stream(
     book: &CanonicalCodebook,
     decoder: DecoderKind,
 ) -> Result<Vec<u16>> {
-    crate::metrics::registry::global().record_decode_backend(decoder.name());
     // The empty stream decodes to nothing on every backend — and is the
     // only stream an empty codebook (empty-input archive) can carry.
     if stream.num_symbols == 0 && stream.num_chunks() == 0 {
@@ -92,7 +91,6 @@ pub fn decode_stream_best_effort(
     sentinel: u16,
     decoder: DecoderKind,
 ) -> (Vec<u16>, RecoveryReport) {
-    crate::metrics::registry::global().record_decode_backend(decoder.name());
     if stream.num_symbols == 0 && stream.num_chunks() == 0 {
         return (Vec::new(), RecoveryReport::clean(0));
     }

@@ -35,7 +35,8 @@ use crate::archive;
 use crate::container::{self, Kind};
 use crate::error::{HuffError, Result};
 use crate::integrity::{
-    crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section, Verify,
+    crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section,
+    ShardTally, Verify,
 };
 use bytes::{Buf, BufMut, BytesMut};
 use rayon::prelude::*;
@@ -254,44 +255,71 @@ pub fn decompress_with(bytes: &[u8], opts: &DecompressOptions) -> Result<Recover
         .collect();
 
     let mut symbols = Vec::with_capacity(info.total_symbols as usize);
-    let mut report = RecoveryReport::default();
-    let (mut shards_ok, mut shards_recovered) = (0usize, 0usize);
+    let mut merged = ShardMerge::default();
     for (i, res) in results.into_iter().enumerate() {
         let range = info.shard_symbol_range(i)?;
-        let base_chunks = report.total_chunks;
+        let chunk_base = merged.report.total_chunks;
         match res {
             Ok(rec) => {
-                if rec.report.is_clean() {
-                    shards_ok += 1;
-                } else {
-                    shards_recovered += 1;
-                }
-                report.total_chunks += rec.report.total_chunks;
-                for c in rec.report.damaged_chunks {
-                    report.damaged_chunks.push(base_chunks + c);
-                }
-                for (s, e) in rec.report.damaged_ranges {
-                    report.damaged_ranges.push((range.start + s, range.start + e));
-                    report.symbols_lost += e - s;
-                }
+                merged.readable(chunk_base, range.start, &rec.report);
                 symbols.extend_from_slice(&rec.symbols);
             }
-            Err(e) if best_effort => {
-                // The shard is unreadable as a whole: its internal chunk
-                // structure is unknown, so it counts as one opaque chunk.
-                let _ = e;
-                shards_recovered += 1;
-                report.total_chunks += 1;
-                report.damaged_chunks.push(base_chunks);
-                report.damaged_ranges.push((range.start, range.end));
-                report.symbols_lost += range.len();
+            Err(_) if best_effort => {
+                merged.unreadable(chunk_base, range.clone());
                 symbols.resize(symbols.len() + range.len(), opts.sentinel);
             }
             Err(e) => return Err(e),
         }
     }
-    crate::metrics::registry::global().record_shards_decoded(shards_ok, shards_recovered);
-    Ok(Recovered { symbols, report })
+    Ok(Recovered {
+        symbols,
+        report: merged.report,
+        symbol_bytes: info.symbol_bytes,
+        shards: merged.shards,
+    })
+}
+
+/// Per-shard recovery reports merged into frame-global coordinates, plus
+/// the tally of how the shards came through. The one place the frame
+/// decoders ([`decompress_with`], [`decode_range_with`], [`verify`]) map
+/// shard-local damage to the frame.
+#[derive(Debug, Default)]
+struct ShardMerge {
+    report: RecoveryReport,
+    shards: ShardTally,
+}
+
+impl ShardMerge {
+    /// Fold in a shard that was read: its damaged chunks shift by
+    /// `chunk_base` (the shard's first frame-global chunk), its damaged
+    /// symbol ranges by `sym_start` (the shard's first symbol), and the
+    /// frame's chunk count grows to cover the shard's chunks.
+    fn readable(&mut self, chunk_base: usize, sym_start: usize, shard: &RecoveryReport) {
+        if shard.is_clean() {
+            self.shards.ok += 1;
+        } else {
+            self.shards.recovered += 1;
+        }
+        let r = &mut self.report;
+        r.total_chunks = r.total_chunks.max(chunk_base + shard.total_chunks);
+        r.damaged_chunks.extend(shard.damaged_chunks.iter().map(|c| chunk_base + c));
+        for &(s, e) in &shard.damaged_ranges {
+            r.damaged_ranges.push((sym_start + s, sym_start + e));
+            r.symbols_lost += e - s;
+        }
+    }
+
+    /// Fold in a shard that could not be read at all: its internal chunk
+    /// structure is unknown, so it counts as one opaque damaged chunk at
+    /// `chunk_base` that loses the (frame-global) symbols `lost`.
+    fn unreadable(&mut self, chunk_base: usize, lost: Range<usize>) {
+        self.shards.recovered += 1;
+        let r = &mut self.report;
+        r.total_chunks = r.total_chunks.max(chunk_base + 1);
+        r.damaged_chunks.push(chunk_base);
+        r.symbols_lost += lost.len();
+        r.damaged_ranges.push((lost.start, lost.end));
+    }
 }
 
 /// Decode only the bytes of `range` (in decoded-output byte space) from a
@@ -368,7 +396,7 @@ pub(crate) fn decode_range_with(
     };
 
     let mut out = Vec::with_capacity((hi - lo) as usize);
-    let mut report = RecoveryReport { total_chunks, ..RecoveryReport::default() };
+    let mut merged = ShardMerge::default();
     let mut chunks_touched = 0usize;
     let mut index_probes = 0u64;
     let mut index_used = true;
@@ -389,38 +417,38 @@ pub(crate) fn decode_range_with(
             .and_then(|body| shard_decode(i, body, g_lo - shard_lo..g_hi - shard_lo));
         match res {
             Ok(r) => {
-                for c in r.report.damaged_chunks {
-                    report.damaged_chunks.push(chunk_base[i] + c);
-                }
-                for (s, e) in r.report.damaged_ranges {
-                    report.damaged_ranges.push((sym_range.start + s, sym_range.start + e));
-                    report.symbols_lost += e - s;
-                }
+                merged.readable(chunk_base[i], sym_range.start, &r.report);
                 chunks_touched += r.chunks_touched;
                 index_probes += r.index_probes;
                 index_used &= r.index_used;
                 out.extend_from_slice(&r.bytes);
             }
-            Err(e) if best_effort => {
+            Err(_) if best_effort => {
                 // The shard is unreadable as a whole: sentinel-fill its
                 // overlap with the range, one opaque damaged chunk.
-                let _ = e;
                 let sent = u64::from(opts.sentinel).to_le_bytes();
                 for p in g_lo..g_hi {
                     out.push(sent[(p % sb).min(7) as usize]);
                 }
                 chunks_touched += 1;
                 index_used = false;
-                report.damaged_chunks.push(chunk_base[i]);
                 let d_lo = ((g_lo / sb) as usize).max(sym_range.start);
                 let d_hi = (g_hi.div_ceil(sb) as usize).min(sym_range.end).max(d_lo);
-                report.damaged_ranges.push((d_lo, d_hi));
-                report.symbols_lost += d_hi - d_lo;
+                merged.unreadable(chunk_base[i], d_lo..d_hi);
             }
             Err(e) => return Err(e),
         }
     }
-    Ok(RangeDecode { bytes: out, report, chunks_touched, total_chunks, index_probes, index_used })
+    Ok(RangeDecode {
+        bytes: out,
+        // The frame's chunk count comes from the header peeks above, not
+        // from the touched shards alone.
+        report: RecoveryReport { total_chunks, ..merged.report },
+        chunks_touched,
+        total_chunks,
+        index_probes,
+        index_used,
+    })
 }
 
 /// Check every shard's checksums without decoding any payload, merging
@@ -428,34 +456,20 @@ pub(crate) fn decode_range_with(
 /// as [`decompress_with`]).
 pub fn verify(bytes: &[u8]) -> Result<RecoveryReport> {
     let info = parse(bytes, Verify::Full)?;
-    let mut report = RecoveryReport::default();
+    let mut merged = ShardMerge::default();
     for (i, r) in info.shard_ranges.iter().enumerate() {
         let range = info.shard_symbol_range(i)?;
-        let base_chunks = report.total_chunks;
+        let chunk_base = merged.report.total_chunks;
         let shard_report = bytes
             .get(r.clone())
             .ok_or_else(|| bad("shard body extends past the frame"))
             .and_then(archive::verify_archive);
         match shard_report {
-            Ok(sr) => {
-                report.total_chunks += sr.total_chunks;
-                for c in sr.damaged_chunks {
-                    report.damaged_chunks.push(base_chunks + c);
-                }
-                for (s, e) in sr.damaged_ranges {
-                    report.damaged_ranges.push((range.start + s, range.start + e));
-                    report.symbols_lost += e - s;
-                }
-            }
-            Err(_) => {
-                report.total_chunks += 1;
-                report.damaged_chunks.push(base_chunks);
-                report.damaged_ranges.push((range.start, range.end));
-                report.symbols_lost += range.len();
-            }
+            Ok(sr) => merged.readable(chunk_base, range.start, &sr),
+            Err(_) => merged.unreadable(chunk_base, range),
         }
     }
-    Ok(report)
+    Ok(merged.report)
 }
 
 #[cfg(test)]

@@ -233,6 +233,17 @@ impl RecoveryReport {
     }
 }
 
+/// How a frame's shards came through a decode: clean, or recovered
+/// best-effort (damaged or unreadable). All zero for a bare archive or a
+/// raw container, which have no shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardTally {
+    /// Shards decoded clean.
+    pub ok: usize,
+    /// Shards recovered best-effort.
+    pub recovered: usize,
+}
+
 /// The result of a best-effort decompression.
 #[derive(Debug, Clone)]
 pub struct Recovered {
@@ -240,6 +251,11 @@ pub struct Recovered {
     pub symbols: Vec<u16>,
     /// Which chunks and symbol ranges were lost.
     pub report: RecoveryReport,
+    /// Native symbol width from the container header (decoded output
+    /// bytes per symbol).
+    pub symbol_bytes: u8,
+    /// Shard outcomes of a frame decode; zero for a bare archive.
+    pub shards: ShardTally,
 }
 
 /// The result of a random-access range decode

@@ -60,7 +60,7 @@ use crate::archive;
 use crate::batch::{self, BatchOptions, BatchReport};
 use crate::decode::{self, DecoderKind};
 use crate::error::{HuffError, Result};
-use crate::integrity::{DecompressOptions, Recovered, RecoveryMode, RecoveryReport};
+use crate::integrity::{DecompressOptions, Recovered, RecoveryMode, RecoveryReport, ShardTally};
 use crate::pipeline::{self, PipelineKind, StageTimes};
 use crate::plan::KernelPlan;
 use gpu_sim::{DeviceSpec, Gpu, KernelRecord};
@@ -491,25 +491,7 @@ pub fn profile_compress(
         kernels,
         recovery: None,
     };
-    record_profile(&profile);
-    {
-        let mut reg = registry::global();
-        let ratio = if profile.archive_bytes == 0 {
-            1.0
-        } else {
-            profile.input_bytes as f64 / profile.archive_bytes as f64
-        };
-        reg.record_compress(profile.input_bytes, profile.archive_bytes, ratio, profile.chunks);
-    }
     Ok((packed, profile))
-}
-
-/// Feed a profile's kernel efficiencies into the global registry.
-fn record_profile(profile: &PipelineProfile) {
-    let mut reg = registry::global();
-    for k in &profile.kernels {
-        reg.record_kernel_efficiency(k.record.counters(&profile.spec).efficiency);
-    }
 }
 
 /// Decode an archive on the device and profile it. Stages are the
@@ -532,11 +514,11 @@ pub fn profile_decompress(
     let payload_bytes = stream.total_bits.div_ceil(8);
 
     let base = gpu.launches();
-    let recovered = match opts.mode {
+    let (symbols, report) = match opts.mode {
         RecoveryMode::Strict => {
             let (symbols, _) =
                 decode::gpu::decode_kind_on_gpu(gpu, stream, &parsed.book, opts.decoder)?;
-            Recovered { symbols, report: RecoveryReport::clean(stream.num_chunks()) }
+            (symbols, RecoveryReport::clean(stream.num_chunks()))
         }
         RecoveryMode::BestEffort => {
             let (symbols, report, _) = decode::gpu::decode_kind_best_effort_on_gpu(
@@ -547,8 +529,14 @@ pub fn profile_decompress(
                 opts.sentinel,
                 opts.decoder,
             );
-            Recovered { symbols, report }
+            (symbols, report)
         }
+    };
+    let recovered = Recovered {
+        symbols,
+        report,
+        symbol_bytes: parsed.symbol_bytes,
+        shards: ShardTally::default(),
     };
     let after = gpu.launches();
 
@@ -598,17 +586,6 @@ pub fn profile_decompress(
         kernels,
         recovery: Some(recovered.report.clone()),
     };
-    record_profile(&profile);
-    {
-        let mut reg = registry::global();
-        reg.record_decompress(
-            profile.archive_bytes,
-            profile.input_bytes,
-            profile.chunks,
-            recovered.report.damaged_chunks.len(),
-        );
-        reg.record_stage_seconds("decode", decode_seconds);
-    }
     Ok((recovered, profile))
 }
 

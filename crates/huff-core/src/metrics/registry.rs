@@ -1,33 +1,45 @@
-//! Process-wide service metrics: counters, gauges, and histograms with
-//! Prometheus-style text exposition and JSON export.
+//! Service metrics: counters and gauges with Prometheus-style text
+//! exposition and JSON export.
 //!
 //! A long-running compression service needs a scrapeable surface; this
-//! module is that surface for the modeled system. The library's entry
-//! points ([`crate::archive::compress`], [`crate::archive::decompress_with`],
-//! [`crate::batch::compress_batched`], [`crate::pipeline::run`], the
-//! decoder dispatchers, and the profilers) update the [`global`] registry
-//! as a side effect; `rsh stats` resets it, runs one operation, and dumps
-//! the exposition.
+//! module is that surface for the modeled system. There is no
+//! process-global instance, and the library's entry points record
+//! nothing: every function returns what it did, and whoever owns a
+//! [`Registry`] counts the operation from that result, once per
+//! operation. The two owners are `rsh stats`, which builds a fresh
+//! registry, runs one operation, records it and prints the registry, and
+//! the serving engine ([`crate::serve::Engine`]), which records its
+//! serve events and the library operations behind them into its own
+//! registry (`GET /metrics` in `rsh serve` renders that one). Both share
+//! the `record_*` helpers below, so each count has one definition.
 //!
 //! The metric families are fixed at construction (a registry never grows
 //! names at runtime), labels are single-key and low-cardinality by
-//! design, and everything is a plain `f64` behind one mutex — this is an
-//! observability surface, not a time-series database.
+//! design, and every sample is a plain `f64` — this is an observability
+//! surface, not a time-series database.
 //!
 //! ```
+//! use huff_core::archive::{compress, CompressOptions};
 //! use huff_core::metrics::registry::Registry;
 //!
+//! let data: Vec<u16> = (0..10_000).map(|i| (i % 50) as u16).collect();
+//! let packed = compress(&data, &CompressOptions::new(64)).unwrap();
 //! let mut r = Registry::new();
-//! r.record_compress(1_000_000, 400_000, 2.5, 16);
-//! assert_eq!(r.get("rsh_bytes_out_total", &[("direction", "compress")]), 400_000.0);
+//! r.record_compress(data.len() as u64 * 2, &packed);
+//! let out = r.get("rsh_bytes_out_total", &[("direction", "compress")]);
+//! assert_eq!(out, packed.len() as f64);
 //! let text = r.render();
 //! assert!(text.contains("# TYPE rsh_bytes_out_total counter"));
-//! assert!(text.contains("rsh_bytes_out_total{direction=\"compress\"} 400000"));
+//! assert!(text.contains("rsh_runs_total{direction=\"compress\"} 1"));
 //! ```
 
+use crate::archive;
+use crate::batch::{BatchReport, QuarantineReport};
+use crate::decode::DecoderKind;
+use crate::integrity::{RangeDecode, Recovered};
+use crate::tune::Decision;
 use serde::json::{Map, Value};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// What kind of metric a family is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,8 +48,6 @@ pub enum MetricKind {
     Counter,
     /// Last-written value.
     Gauge,
-    /// Bucketed distribution with sum and count.
-    Histogram,
 }
 
 impl MetricKind {
@@ -46,14 +56,9 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
         }
     }
 }
-
-/// Bucket upper bounds of the kernel-efficiency histogram (a final +Inf
-/// bucket is implicit).
-pub const EFFICIENCY_BUCKETS: [f64; 6] = [0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
 
 /// The fixed family table: name, kind, help. Single source of truth for
 /// both exposition formats.
@@ -73,11 +78,6 @@ const FAMILIES: &[(&str, MetricKind, &str)] = &[
     ),
     ("rsh_stage_seconds_total", MetricKind::Counter, "Modeled device seconds, by pipeline stage."),
     ("rsh_decode_backend_total", MetricKind::Counter, "Decode operations, by backend."),
-    (
-        "rsh_kernel_efficiency",
-        MetricKind::Histogram,
-        "Roofline efficiency (achieved / effective bandwidth) of profiled kernels.",
-    ),
     ("rsh_requests_total", MetricKind::Counter, "Serve requests completed, by outcome."),
     ("rsh_retries_total", MetricKind::Counter, "Serve attempts retried after transient faults."),
     ("rsh_shed_total", MetricKind::Counter, "Serve requests shed at admission, by reason."),
@@ -127,29 +127,16 @@ const FAMILIES: &[(&str, MetricKind, &str)] = &[
     ),
 ];
 
-#[derive(Debug, Clone, Default)]
-struct Sample {
-    /// Counter/gauge value; for histograms, the sum of observations.
-    value: f64,
-    /// Histogram observation count.
-    count: u64,
-    /// Non-cumulative per-bucket counts (len = EFFICIENCY_BUCKETS + 1,
-    /// the last slot is the +Inf bucket); empty for counters/gauges.
-    buckets: Vec<u64>,
-}
-
 #[derive(Debug, Clone)]
 struct Family {
     kind: MetricKind,
     help: &'static str,
-    /// Canonical label string (`{k="v"}` or empty) → sample.
-    samples: BTreeMap<String, Sample>,
+    /// Canonical label string (`{k="v"}` or empty) → sample value.
+    samples: BTreeMap<String, f64>,
 }
 
-/// A fixed-family metrics registry.
-///
-/// Use [`global`] for the process-wide instance the library updates;
-/// construct local instances in tests to avoid cross-test interference.
+/// A fixed-family metrics registry, owned by whoever counts (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct Registry {
     families: BTreeMap<&'static str, Family>,
@@ -243,50 +230,21 @@ impl Registry {
     pub fn add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         debug_assert!(v >= 0.0, "counter {name} decremented by {v}");
         let f = self.family_mut(name, MetricKind::Counter);
-        f.samples.entry(label_key(labels)).or_default().value += v;
+        *f.samples.entry(label_key(labels)).or_default() += v;
     }
 
     /// Set a gauge.
     pub fn set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         let f = self.family_mut(name, MetricKind::Gauge);
-        f.samples.entry(label_key(labels)).or_default().value = v;
+        f.samples.insert(label_key(labels), v);
     }
 
-    /// Record one histogram observation.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let f = self.family_mut(name, MetricKind::Histogram);
-        let s = f.samples.entry(label_key(labels)).or_default();
-        if s.buckets.is_empty() {
-            s.buckets = vec![0; EFFICIENCY_BUCKETS.len() + 1];
-        }
-        let i = EFFICIENCY_BUCKETS.iter().position(|&b| v <= b).unwrap_or(EFFICIENCY_BUCKETS.len());
-        s.buckets[i] += 1;
-        s.count += 1;
-        s.value += v;
-    }
-
-    /// Current value of a counter/gauge (histograms: sum of
-    /// observations). Missing samples read as 0.
+    /// Current value of a counter or gauge. Missing samples read as 0.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
         self.families
             .get(name)
-            .and_then(|f| f.samples.get(&label_key(labels)))
-            .map_or(0.0, |s| s.value)
-    }
-
-    /// Observation count of a histogram sample.
-    pub fn count(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.families
-            .get(name)
-            .and_then(|f| f.samples.get(&label_key(labels)))
-            .map_or(0, |s| s.count)
-    }
-
-    /// Drop every sample (family definitions stay).
-    pub fn reset(&mut self) {
-        for f in self.families.values_mut() {
-            f.samples.clear();
-        }
+            .and_then(|f| f.samples.get(&label_key(labels)).copied())
+            .unwrap_or(0.0)
     }
 
     /// Prometheus text exposition (families in name order, samples in
@@ -299,32 +257,8 @@ impl Registry {
             }
             out.push_str(&format!("# HELP {name} {}\n", f.help));
             out.push_str(&format!("# TYPE {name} {}\n", f.kind.name()));
-            for (labels, s) in &f.samples {
-                match f.kind {
-                    MetricKind::Counter | MetricKind::Gauge => {
-                        out.push_str(&format!("{name}{labels} {}\n", fmt_value(s.value)));
-                    }
-                    MetricKind::Histogram => {
-                        let with_le = |le: &str| {
-                            if labels.is_empty() {
-                                format!("{{le=\"{le}\"}}")
-                            } else {
-                                format!("{},le=\"{le}\"}}", &labels[..labels.len() - 1])
-                            }
-                        };
-                        let mut cum = 0u64;
-                        for (i, &b) in EFFICIENCY_BUCKETS.iter().enumerate() {
-                            cum += s.buckets.get(i).copied().unwrap_or(0);
-                            out.push_str(&format!(
-                                "{name}_bucket{} {cum}\n",
-                                with_le(&fmt_value(b))
-                            ));
-                        }
-                        out.push_str(&format!("{name}_bucket{} {}\n", with_le("+Inf"), s.count));
-                        out.push_str(&format!("{name}_sum{labels} {}\n", fmt_value(s.value)));
-                        out.push_str(&format!("{name}_count{labels} {}\n", s.count));
-                    }
-                }
+            for (labels, &v) in &f.samples {
+                out.push_str(&format!("{name}{labels} {}\n", fmt_value(v)));
             }
         }
         out
@@ -345,24 +279,10 @@ impl Registry {
             let samples = f
                 .samples
                 .iter()
-                .map(|(labels, s)| {
+                .map(|(labels, &v)| {
                     let mut o = Map::new();
                     o.insert("labels".into(), Value::String(labels.clone()));
-                    match f.kind {
-                        MetricKind::Counter | MetricKind::Gauge => {
-                            o.insert("value".into(), Value::Float(s.value));
-                        }
-                        MetricKind::Histogram => {
-                            o.insert("sum".into(), Value::Float(s.value));
-                            o.insert("count".into(), Value::Int(i128::from(s.count)));
-                            o.insert(
-                                "buckets".into(),
-                                Value::Array(
-                                    s.buckets.iter().map(|&c| Value::Int(i128::from(c))).collect(),
-                                ),
-                            );
-                        }
-                    }
+                    o.insert("value".into(), Value::Float(v));
                     Value::Object(o)
                 })
                 .collect();
@@ -373,65 +293,93 @@ impl Registry {
         Value::Object(root)
     }
 
-    // ---- Domain helpers: the vocabulary the library records in. ----
+    // ---- Operation vocabulary: one count per library operation, taken
+    // from the result the operation returned. ----
 
-    /// One compress run: input/output bytes, achieved ratio, chunk count.
-    pub fn record_compress(&mut self, bytes_in: u64, bytes_out: u64, ratio: f64, chunks: usize) {
+    /// One compress that turned `bytes_in` input bytes into `container`.
+    /// A plain archive's chunk count comes from its O(1) header peek
+    /// ([`archive::chunk_count`]); frames and raw containers count none.
+    pub fn record_compress(&mut self, bytes_in: u64, container: &[u8]) {
         let d = [("direction", "compress")];
+        let ratio = if bytes_in == 0 || container.is_empty() {
+            1.0
+        } else {
+            bytes_in as f64 / container.len() as f64
+        };
         self.add("rsh_runs_total", &d, 1.0);
         self.add("rsh_bytes_in_total", &d, bytes_in as f64);
-        self.add("rsh_bytes_out_total", &d, bytes_out as f64);
+        self.add("rsh_bytes_out_total", &d, container.len() as f64);
         self.set("rsh_compression_ratio", &[], ratio);
+        let chunks = archive::chunk_count(container).unwrap_or(0);
         self.add("rsh_chunks_total", &[], chunks as f64);
     }
 
-    /// One decompress run (per shard for frames): archive bytes in,
-    /// symbol bytes out, total and damaged chunk counts.
-    pub fn record_decompress(
+    /// One batched compress ([`crate::batch::compress_batched_with_faults`]):
+    /// the compress itself, the frame's shards, each shard's modeled
+    /// device seconds per stage (summed in shard order), and any shards
+    /// quarantined off failed devices.
+    pub fn record_batch_compress(
         &mut self,
-        bytes_in: u64,
-        bytes_out: u64,
-        chunks: usize,
-        damaged: usize,
+        frame: &[u8],
+        report: &BatchReport,
+        quarantine: &QuarantineReport,
     ) {
+        self.record_compress(report.input_bytes, frame);
+        for shard in &report.shards {
+            let t = shard.report.times;
+            for (stage, seconds) in
+                [("histogram", t.histogram), ("codebook", t.codebook), ("encode", t.encode)]
+            {
+                self.add("rsh_stage_seconds_total", &[("stage", stage)], seconds);
+            }
+        }
+        self.add("rsh_shards_total", &[], report.shards.len() as f64);
+        if !quarantine.is_clean() {
+            self.add("rsh_quarantined_shards_total", &[], quarantine.quarantined.len() as f64);
+        }
+    }
+
+    /// One decompress of `container` through `decoder`: container bytes
+    /// in, decoded bytes out, total and damaged chunks, and — for a
+    /// frame — how its shards came through.
+    pub fn record_decompress(&mut self, container: &[u8], rec: &Recovered, decoder: DecoderKind) {
         let d = [("direction", "decompress")];
+        let bytes_out = rec.symbols.len() * usize::from(rec.symbol_bytes.max(1));
         self.add("rsh_runs_total", &d, 1.0);
-        self.add("rsh_bytes_in_total", &d, bytes_in as f64);
+        self.add("rsh_bytes_in_total", &d, container.len() as f64);
         self.add("rsh_bytes_out_total", &d, bytes_out as f64);
-        self.add("rsh_chunks_total", &[], chunks as f64);
-        self.add("rsh_chunks_damaged_total", &[], damaged as f64);
+        self.add("rsh_chunks_total", &[], rec.report.total_chunks as f64);
+        self.add("rsh_chunks_damaged_total", &[], rec.report.damaged_chunks.len() as f64);
+        self.add("rsh_decode_backend_total", &[("backend", decoder.name())], 1.0);
+        let s = rec.shards;
+        if s.ok + s.recovered > 0 {
+            self.add("rsh_shards_total", &[], (s.ok + s.recovered) as f64);
+            self.add("rsh_shards_ok_total", &[], s.ok as f64);
+            self.add("rsh_shards_recovered_total", &[], s.recovered as f64);
+        }
     }
 
-    /// One verify run.
-    pub fn record_verify(&mut self) {
-        self.add("rsh_runs_total", &[("direction", "verify")], 1.0);
+    /// One random-access range read through `decoder`: output bytes, the
+    /// chunks it decoded against the container's total, and the probe
+    /// traffic it spent locating offsets (see
+    /// [`crate::archive::decode_range`]).
+    pub fn record_range(&mut self, r: &RangeDecode, decoder: DecoderKind) {
+        let source = if r.index_used { "index" } else { "scan" };
+        self.add("rsh_range_decodes_total", &[("source", source)], 1.0);
+        self.add("rsh_range_bytes_total", &[], r.bytes.len() as f64);
+        self.add("rsh_range_chunks_touched_total", &[], r.chunks_touched as f64);
+        let skipped = r.total_chunks.saturating_sub(r.chunks_touched);
+        self.add("rsh_range_chunks_skipped_total", &[], skipped as f64);
+        self.add("rsh_index_probes_total", &[], r.index_probes as f64);
+        self.add("rsh_decode_backend_total", &[("backend", decoder.name())], 1.0);
     }
 
-    /// Modeled device seconds attributed to a pipeline stage.
-    pub fn record_stage_seconds(&mut self, stage: &str, seconds: f64) {
-        self.add("rsh_stage_seconds_total", &[("stage", stage)], seconds);
-    }
-
-    /// Shards written into a frame by a batched compress.
-    pub fn record_shards_built(&mut self, shards: usize) {
-        self.add("rsh_shards_total", &[], shards as f64);
-    }
-
-    /// Outcome of decoding one frame's shards.
-    pub fn record_shards_decoded(&mut self, ok: usize, recovered: usize) {
-        self.add("rsh_shards_total", &[], (ok + recovered) as f64);
-        self.add("rsh_shards_ok_total", &[], ok as f64);
-        self.add("rsh_shards_recovered_total", &[], recovered as f64);
-    }
-
-    /// One decode dispatch through the named backend.
-    pub fn record_decode_backend(&mut self, backend: &str) {
-        self.add("rsh_decode_backend_total", &[("backend", backend)], 1.0);
-    }
-
-    /// One profiled kernel's roofline efficiency.
-    pub fn record_kernel_efficiency(&mut self, efficiency: f64) {
-        self.observe("rsh_kernel_efficiency", &[], efficiency);
+    /// One tuning-cache lookup ([`crate::tune::Tuner::decide`]) and the
+    /// decision it applied.
+    pub fn record_tune(&mut self, decision: &Decision, hit: bool) {
+        let result = if hit { "hit" } else { "miss" };
+        self.add("rsh_tune_lookups_total", &[("result", result)], 1.0);
+        self.add("rsh_tune_decisions_total", &[("dispatch", decision.dispatch.name())], 1.0);
     }
 
     // ---- Serve-path vocabulary (see `crate::serve`). ----
@@ -469,61 +417,12 @@ impl Registry {
         self.add("rsh_queue_wait_seconds_total", &[], seconds);
         self.set("rsh_queue_depth", &[], depth as f64);
     }
-
-    /// Shards quarantined off failed devices in a batched run.
-    pub fn record_shards_quarantined(&mut self, shards: usize) {
-        self.add("rsh_quarantined_shards_total", &[], shards as f64);
-    }
-
-    /// One random-access range decode: output bytes, how many chunks it
-    /// decoded vs the archive's total, and the probe traffic it spent
-    /// locating offsets (see `crate::archive::decode_range`).
-    pub fn record_range_decode(
-        &mut self,
-        bytes_out: u64,
-        chunks_touched: usize,
-        total_chunks: usize,
-        probes: u64,
-        index_used: bool,
-    ) {
-        let source = if index_used { "index" } else { "scan" };
-        self.add("rsh_range_decodes_total", &[("source", source)], 1.0);
-        self.add("rsh_range_bytes_total", &[], bytes_out as f64);
-        self.add("rsh_range_chunks_touched_total", &[], chunks_touched as f64);
-        self.add(
-            "rsh_range_chunks_skipped_total",
-            &[],
-            total_chunks.saturating_sub(chunks_touched) as f64,
-        );
-        self.add("rsh_index_probes_total", &[], probes as f64);
-    }
-
-    /// One tuning-cache lookup.
-    pub fn record_tune_lookup(&mut self, hit: bool) {
-        let result = if hit { "hit" } else { "miss" };
-        self.add("rsh_tune_lookups_total", &[("result", result)], 1.0);
-    }
-
-    /// One autotune decision applied, by dispatch path name.
-    pub fn record_tune_decision(&mut self, dispatch: &str) {
-        self.add("rsh_tune_decisions_total", &[("dispatch", dispatch)], 1.0);
-    }
-}
-
-/// Lock the process-wide registry.
-///
-/// The library's entry points record into this instance; hold the guard
-/// only for the duration of one call (never while calling back into the
-/// library, which would deadlock).
-pub fn global() -> MutexGuard<'static, Registry> {
-    static GLOBAL: OnceLock<Mutex<Registry>> = OnceLock::new();
-    let m = GLOBAL.get_or_init(|| Mutex::new(Registry::new()));
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrity::{RecoveryReport, ShardTally};
 
     #[test]
     fn counters_accumulate_monotonically() {
@@ -547,61 +446,51 @@ mod tests {
         assert_eq!(r.get("rsh_compression_ratio", &[]), 3.5);
     }
 
-    #[test]
-    fn histogram_buckets_are_cumulative_in_exposition() {
-        let mut r = Registry::new();
-        for v in [0.05, 0.3, 0.6, 0.95, 0.97] {
-            r.record_kernel_efficiency(v);
+    /// A decompress result over `chunks` chunks with the given shard tally.
+    fn recovered(chunks: usize, shards: ShardTally) -> Recovered {
+        Recovered {
+            symbols: vec![0; 100],
+            report: RecoveryReport::clean(chunks),
+            symbol_bytes: 2,
+            shards,
         }
-        assert_eq!(r.count("rsh_kernel_efficiency", &[]), 5);
-        let text = r.render();
-        assert!(text.contains("rsh_kernel_efficiency_bucket{le=\"0.1\"} 1"));
-        assert!(text.contains("rsh_kernel_efficiency_bucket{le=\"0.5\"} 2"));
-        assert!(text.contains("rsh_kernel_efficiency_bucket{le=\"1\"} 5"));
-        assert!(text.contains("rsh_kernel_efficiency_bucket{le=\"+Inf\"} 5"));
-        assert!(text.contains("rsh_kernel_efficiency_count 5"));
     }
 
     #[test]
     fn exposition_has_help_and_type_lines() {
         let mut r = Registry::new();
-        r.record_compress(1000, 400, 2.5, 4);
-        r.record_decode_backend("lut");
+        r.record_compress(1000, &[0; 400]);
+        r.record_decompress(&[0; 400], &recovered(4, ShardTally::default()), DecoderKind::Lut);
         let text = r.render();
         assert!(text.contains("# HELP rsh_runs_total"));
         assert!(text.contains("# TYPE rsh_runs_total counter"));
         assert!(text.contains("rsh_runs_total{direction=\"compress\"} 1"));
+        assert!(text.contains("rsh_bytes_out_total{direction=\"decompress\"} 200"));
         assert!(text.contains("rsh_decode_backend_total{backend=\"lut\"} 1"));
         assert!(text.contains("# TYPE rsh_compression_ratio gauge"));
-        // Empty families are omitted entirely.
+        assert!(text.contains("rsh_compression_ratio 2.5"));
+        // Empty families are omitted entirely: a bare archive (zero
+        // shard tally) counts no shards.
         assert!(!text.contains("rsh_shards_total"));
     }
 
     #[test]
     fn shard_helpers_reconcile() {
         let mut r = Registry::new();
-        r.record_shards_decoded(3, 1);
+        let rec = recovered(8, ShardTally { ok: 3, recovered: 1 });
+        r.record_decompress(&[0; 64], &rec, DecoderKind::Chunked);
         assert_eq!(r.get("rsh_shards_total", &[]), 4.0);
         assert_eq!(r.get("rsh_shards_ok_total", &[]), 3.0);
         assert_eq!(r.get("rsh_shards_recovered_total", &[]), 1.0);
-    }
-
-    #[test]
-    fn reset_clears_samples_but_keeps_families() {
-        let mut r = Registry::new();
-        r.record_verify();
-        assert_eq!(r.get("rsh_runs_total", &[("direction", "verify")]), 1.0);
-        r.reset();
-        assert_eq!(r.get("rsh_runs_total", &[("direction", "verify")]), 0.0);
-        r.record_verify();
-        assert_eq!(r.get("rsh_runs_total", &[("direction", "verify")]), 1.0);
+        // One operation, however many shards.
+        assert_eq!(r.get("rsh_runs_total", &[("direction", "decompress")]), 1.0);
+        assert_eq!(r.get("rsh_decode_backend_total", &[("backend", "chunked")]), 1.0);
     }
 
     #[test]
     fn json_export_mirrors_samples() {
         let mut r = Registry::new();
-        r.record_compress(1000, 400, 2.5, 4);
-        r.record_kernel_efficiency(0.8);
+        r.record_compress(1000, &[0; 400]);
         let v = r.to_json();
         let families = v.as_object().unwrap().get("families").unwrap().as_array().unwrap();
         assert!(!families.is_empty());
@@ -610,7 +499,7 @@ mod tests {
             .map(|f| f.as_object().unwrap().get("name").unwrap().as_str().unwrap())
             .collect();
         assert!(names.contains(&"rsh_bytes_out_total"));
-        assert!(names.contains(&"rsh_kernel_efficiency"));
+        assert!(names.contains(&"rsh_compression_ratio"));
     }
 
     #[test]
@@ -684,16 +573,5 @@ mod tests {
                 prop_assert!(parsed.as_object().is_some());
             }
         }
-    }
-
-    #[test]
-    fn global_registry_is_shared_and_resettable() {
-        {
-            let mut g = global();
-            g.reset();
-            g.record_verify();
-        }
-        let v = global().get("rsh_runs_total", &[("direction", "verify")]);
-        assert!(v >= 1.0);
     }
 }

@@ -265,12 +265,6 @@ pub fn run_with_plan(
         spans: StageSpans { base, after_histogram, after_codebook, after_encode },
         plan,
     };
-    {
-        let mut reg = crate::metrics::registry::global();
-        reg.record_stage_seconds("histogram", hist_time);
-        reg.record_stage_seconds("codebook", codebook_time);
-        reg.record_stage_seconds("encode", encode_time);
-    }
     Ok((stream, book, report))
 }
 

@@ -70,7 +70,7 @@ use crate::decode::DecoderKind;
 use crate::error::{HuffError, Result};
 use crate::integrity::{DecompressOptions, RecoveryMode, RecoveryReport, Verify};
 use crate::metrics::latency::LatencyBook;
-use crate::metrics::registry::{self, Registry};
+use crate::metrics::registry::Registry;
 use crate::metrics::span::{SpanSink, TraceContext};
 use crate::slo;
 use crate::testing::Fault;
@@ -587,8 +587,10 @@ impl Engine {
         self.tuner.as_ref()
     }
 
-    /// The engine's own metrics registry (serve events are also mirrored
-    /// into the process-global registry for `rsh stats` / `/metrics`).
+    /// The engine's metrics registry, the only one it records into: each
+    /// serve event once, plus one count per library operation it ran
+    /// (compress, decompress, range read, tuning lookup), taken from that
+    /// operation's result. `GET /metrics` in `rsh serve` renders it.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
@@ -654,8 +656,6 @@ impl Engine {
         if depth >= self.cfg.queue_capacity {
             self.metrics.record_shed("queue_full");
             self.metrics.record_request("shed");
-            registry::global().record_shed("queue_full");
-            registry::global().record_request("shed");
             let span_id =
                 self.spans.open(&TraceContext::root(trace_id.clone()), "request", class, t, t);
             self.spans.event(trace_id.clone(), span_id, "shed", t, "queue_full");
@@ -697,9 +697,6 @@ impl Engine {
                 self.metrics.record_deadline_miss();
                 self.metrics.record_request("deadline");
                 self.metrics.record_queue_wait(d, depth);
-                registry::global().record_deadline_miss();
-                registry::global().record_request("deadline");
-                registry::global().record_queue_wait(d, depth);
                 let root_ctx = TraceContext::root(trace_id.clone());
                 let span_id = self.spans.open(&root_ctx, "request", class, t, t + d);
                 self.spans.open(&root_ctx.child_of(span_id), "stage", "queue", t, t + d);
@@ -754,8 +751,6 @@ impl Engine {
         self.starts.push(start);
         self.metrics.record_queue_wait(queue_wait, depth);
         self.metrics.record_retries(u64::from(retries));
-        registry::global().record_queue_wait(queue_wait, depth);
-        registry::global().record_retries(u64::from(retries));
 
         let completion = match result {
             Ok(exec) => {
@@ -765,12 +760,10 @@ impl Engine {
                 let outcome = match (&exec.degraded, req.deadline) {
                     (_, Some(d)) if finish - t > d => {
                         self.metrics.record_deadline_miss();
-                        registry::global().record_deadline_miss();
                         Outcome::DeadlineMiss { budget: d, needed: finish - t }
                     }
                     (Some((backend, lost)), _) => {
                         self.metrics.record_degraded(backend);
-                        registry::global().record_degraded(backend);
                         Outcome::Degraded { backend: backend.clone(), symbols_lost: *lost }
                     }
                     (None, _) => Outcome::Success,
@@ -840,7 +833,6 @@ impl Engine {
             }
         };
         self.metrics.record_request(completion.outcome.label());
-        registry::global().record_request(completion.outcome.label());
         self.latency.observe(
             class,
             completion.outcome.label(),
@@ -1028,6 +1020,7 @@ impl Engine {
         if let Some(tuner) = &mut self.tuner {
             let (_, decision, hit) =
                 tuner.decide(symbols, self.cfg.batch.num_symbols, self.cfg.batch.symbol_bytes)?;
+            self.metrics.record_tune(&decision, hit);
             let sweep = if hit { 0.0 } else { tune::MODEL_SWEEP_SECONDS };
             let mut stages = vec![("overhead".to_string(), REQUEST_OVERHEAD_SECONDS)];
             if sweep > 0.0 {
@@ -1043,6 +1036,7 @@ impl Engine {
                     opts.reduction = Some(decision.reduction.max(1));
                     let (frame_bytes, report, quarantine) =
                         compress_batched_with_faults(symbols, &opts, &faults)?;
+                    self.metrics.record_batch_compress(&frame_bytes, &report, &quarantine);
                     stages.push(("batch".to_string(), report.makespan));
                     let records = report
                         .devices
@@ -1070,6 +1064,8 @@ impl Engine {
                         &decision,
                         &devices,
                     )?;
+                    let bytes_in = symbols.len() as u64 * u64::from(self.cfg.batch.symbol_bytes);
+                    self.metrics.record_compress(bytes_in, &bytes);
                     stages.push(("host_encode".to_string(), decision.modeled_seconds()));
                     Ok(Exec {
                         stages,
@@ -1087,6 +1083,7 @@ impl Engine {
         opts.trace = trace.to_string();
         let (frame_bytes, report, quarantine) =
             compress_batched_with_faults(symbols, &opts, &faults)?;
+        self.metrics.record_batch_compress(&frame_bytes, &report, &quarantine);
         let records =
             report.devices.iter().flat_map(|d| d.timeline.records.iter().cloned()).collect();
         Ok(Exec {
@@ -1147,6 +1144,7 @@ impl Engine {
             };
             match archive::decompress_with(payload, &opts) {
                 Ok(rec) => {
+                    self.metrics.record_decompress(payload, &rec, kind);
                     stages.push((
                         format!("decode_{}", kind.name()),
                         self.model_decode_seconds(rec.symbols.len() * 2, kind),
@@ -1185,6 +1183,7 @@ impl Engine {
                 };
                 match archive::decompress_with(payload, &opts) {
                     Ok(rec) => {
+                        self.metrics.record_decompress(payload, &rec, opts.decoder);
                         stages.push((
                             "best_effort".to_string(),
                             self.model_decode_seconds(rec.symbols.len() * 2, DecoderKind::Serial),
@@ -1259,6 +1258,7 @@ impl Engine {
             };
             match archive::decode_range(payload, range.clone(), &opts) {
                 Ok(r) => {
+                    self.metrics.record_range(&r, kind);
                     stages.push((
                         format!("decode_{}", kind.name()),
                         self.model_decode_seconds(r.bytes.len(), kind),
@@ -1294,6 +1294,7 @@ impl Engine {
                 };
                 match archive::decode_range(payload, range, &opts) {
                     Ok(r) => {
+                        self.metrics.record_range(&r, opts.decoder);
                         stages.push((
                             "best_effort".to_string(),
                             self.model_decode_seconds(r.bytes.len(), DecoderKind::Serial),
@@ -1530,6 +1531,76 @@ mod tests {
             .sum();
         assert_eq!(total, 12, "every request ends in exactly one outcome");
         assert!(report.reconciles_with(eng.metrics()));
+    }
+
+    /// Two engines in one process keep independent, complete registries:
+    /// each counts exactly its own serve events and the library
+    /// operations behind them, one per operation, and nothing of the
+    /// other's.
+    #[test]
+    fn engine_registries_are_independent_and_complete() {
+        let cfg = small_cfg();
+        let mut engines = [Engine::new(cfg.clone()), Engine::new(cfg)];
+        let inputs = [symbols(9_000, 31), symbols(14_000, 32)];
+        for round in 0..3 {
+            let t = round as f64;
+            for (e, eng) in engines.iter_mut().enumerate() {
+                let c =
+                    eng.submit(Request::compress(format!("c{e}.{round}"), t, inputs[e].clone()));
+                assert_eq!(c.unwrap().outcome, Outcome::Success);
+            }
+            for (e, eng) in engines.iter_mut().enumerate() {
+                let Some(Response::Frame(frame)) =
+                    eng.report().completions.last().unwrap().response.clone()
+                else {
+                    panic!("compress must answer with a frame")
+                };
+                let d = eng.submit(Request::decompress(
+                    format!("d{e}.{round}"),
+                    t + 0.3,
+                    frame.clone(),
+                ));
+                assert_eq!(d.unwrap().outcome, Outcome::Success);
+                let r = eng.submit(Request::decompress_range(
+                    format!("r{e}.{round}"),
+                    t + 0.6,
+                    frame,
+                    100..1100,
+                ));
+                assert_eq!(r.unwrap().outcome, Outcome::Success);
+            }
+        }
+        for eng in &engines {
+            let reg = eng.metrics();
+            let report = eng.report();
+            let served = |class: &'static str| {
+                report.completions.iter().filter(move |c| c.class == class && c.response.is_some())
+            };
+            let frame_bytes: usize = served("compress")
+                .map(|c| match &c.response {
+                    Some(Response::Frame(f)) => f.len(),
+                    other => panic!("compress answered {other:?}"),
+                })
+                .sum();
+            let compress = [("direction", "compress")];
+            let decompress = [("direction", "decompress")];
+            assert_eq!(reg.get("rsh_bytes_out_total", &compress), frame_bytes as f64);
+            assert_eq!(reg.get("rsh_runs_total", &compress), served("compress").count() as f64);
+            assert_eq!(reg.get("rsh_runs_total", &decompress), served("decompress").count() as f64);
+            assert_eq!(
+                reg.get("rsh_range_decodes_total", &[("source", "index")]),
+                served("decompress_range").count() as f64
+            );
+            // One backend count per decode operation, not per shard.
+            assert_eq!(reg.get("rsh_decode_backend_total", &[("backend", "lut")]), 6.0);
+            assert!(report.reconciles_with(reg));
+        }
+        // Different inputs, different frames: neither registry holds the
+        // other engine's bytes.
+        let out = |e: usize| {
+            engines[e].metrics().get("rsh_bytes_out_total", &[("direction", "compress")])
+        };
+        assert_ne!(out(0), out(1));
     }
 
     #[test]

@@ -871,10 +871,9 @@ fn parse_entry(entry: &[u8]) -> Option<(CacheKey, Decision)> {
 /// models the sweep on misses and persists what it learns.
 ///
 /// Hit/miss/sweep counters are public so callers (the serve engine, the
-/// bench harness, tests) can assert cache behavior; every lookup is also
-/// recorded in the global metrics registry
-/// (`rsh_tune_lookups_total{result=...}`,
-/// `rsh_tune_decisions_total{dispatch=...}`).
+/// bench harness, tests) can assert cache behavior. The tuner records no
+/// metrics itself: an owner of a registry counts each lookup from the
+/// returned `(Decision, hit)` ([`crate::metrics::Registry::record_tune`]).
 #[derive(Debug, Clone)]
 pub struct Tuner {
     device: DeviceSpec,
@@ -921,9 +920,6 @@ impl Tuner {
         let sig = Signature::measure(symbols, num_symbols, symbol_bytes)?;
         if let Some(d) = self.cache.lookup(self.device.name, &sig) {
             self.hits += 1;
-            let mut reg = crate::metrics::registry::global();
-            reg.record_tune_lookup(true);
-            reg.record_tune_decision(d.dispatch.name());
             return Ok((sig, d, true));
         }
         self.misses += 1;
@@ -931,9 +927,6 @@ impl Tuner {
         let d = plan(&sig, &self.device);
         self.cache.insert(self.device.name, sig, d);
         let _ = self.cache.save();
-        let mut reg = crate::metrics::registry::global();
-        reg.record_tune_lookup(false);
-        reg.record_tune_decision(d.dispatch.name());
         Ok((sig, d, false))
     }
 

@@ -6,7 +6,6 @@
 //! that signature from the cache — zero modeling cost, byte-identical
 //! frames, and a visible hit counter in the metrics registry.
 
-use huff::huff_core::metrics::registry;
 use huff::huff_core::serve::{Engine, EngineConfig, Outcome, Request, Response};
 use huff::huff_core::tune::{Tuner, MODEL_SWEEP_SECONDS};
 use huff::prelude::*;
@@ -31,9 +30,6 @@ fn frame_of(resp: &Response) -> &[u8] {
 
 #[test]
 fn second_identical_request_is_served_from_the_tuning_cache() {
-    let hit_base = registry::global().get("rsh_tune_lookups_total", &[("result", "hit")]);
-    let miss_base = registry::global().get("rsh_tune_lookups_total", &[("result", "miss")]);
-
     let mut eng = tuned_engine();
     let syms = workload(42);
 
@@ -65,16 +61,11 @@ fn second_identical_request_is_served_from_the_tuning_cache() {
         "expected the cache hit to save the {MODEL_SWEEP_SECONDS}s sweep, saved {saved}s"
     );
 
-    // The registry shows the warm-up: one miss, at least one hit. (Scope
-    // the registry guard: `global()` is a mutex and decompress below
-    // records metrics of its own.)
-    {
-        let reg = registry::global();
-        let hits = reg.get("rsh_tune_lookups_total", &[("result", "hit")]) - hit_base;
-        let misses = reg.get("rsh_tune_lookups_total", &[("result", "miss")]) - miss_base;
-        assert!(hits >= 1.0, "tune hit counter must advance, got {hits}");
-        assert!(misses >= 1.0, "tune miss counter must advance, got {misses}");
-    }
+    // The engine's registry shows the warm-up: exactly one miss, then
+    // exactly one hit.
+    let reg = eng.metrics();
+    assert_eq!(reg.get("rsh_tune_lookups_total", &[("result", "miss")]), 1.0);
+    assert_eq!(reg.get("rsh_tune_lookups_total", &[("result", "hit")]), 1.0);
 
     // And the round-trip stays lossless through the tuned path.
     let back = huff::decompress(&first_frame).unwrap();

@@ -3,28 +3,18 @@
 //! time, efficiency never exceeds the roofline), the anomaly flag, and
 //! the service-registry reconciliation `rsh stats` relies on.
 //!
-//! Tests that touch the process-wide registry (directly or by running a
-//! pipeline entry point, which records into it as a side effect) hold
-//! [`lock`] so parallel tests can't interleave their counter deltas.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! The library records no metrics; each registry test owns a fresh
+//! [`Registry`] and counts operations through the same `record_*` helpers
+//! `rsh stats` and the serving engine use, so tests never share state.
 
 use huff::gpu_sim::roofline::Bound;
 use huff::gpu_sim::{Access, DeviceSpec, Gpu, GridDim};
 use huff::huff_core::archive::{self, CompressOptions};
-use huff::huff_core::batch::{compress_batched, BatchOptions};
+use huff::huff_core::batch::{compress_batched_with_faults, BatchOptions};
 use huff::huff_core::decode::DecoderKind;
 use huff::huff_core::integrity::DecompressOptions;
-use huff::huff_core::metrics::{self, registry, roofline::RooflineReport, PipelineProfile};
+use huff::huff_core::metrics::{self, roofline::RooflineReport, PipelineProfile, Registry};
 use serde_json::Value;
-
-/// Serialize access to the global registry (and to the profilers that
-/// record into it).
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let m = LOCK.get_or_init(|| Mutex::new(()));
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn sample(n: usize) -> Vec<u16> {
     (0..n)
@@ -54,7 +44,6 @@ fn obj<'a>(v: &'a Value, key: &str) -> &'a Value {
 /// present with the right type — checked on the serialized bytes.
 #[test]
 fn roofline_schema_v1_fields_are_stable() {
-    let _g = lock();
     let profile = roundtrip_profile(40_000, metrics::ProfileOptions::new(256));
     let report = profile.roofline(0.5);
     let root = Value::parse(&report.to_json_string()).expect("roofline JSON must parse");
@@ -118,7 +107,6 @@ fn roofline_schema_v1_fields_are_stable() {
 /// their kernels.
 #[test]
 fn counter_and_stage_invariants_hold() {
-    let _g = lock();
     let profile = roundtrip_profile(40_000, metrics::ProfileOptions::new(256));
     let report = profile.roofline(0.5);
 
@@ -193,7 +181,6 @@ fn anomaly_fires_on_synthetic_strided_kernel() {
 /// flags. Latency-bound kernels never flag at any threshold.
 #[test]
 fn anomaly_threshold_bounds_the_flagged_set() {
-    let _g = lock();
     // Large enough that the streaming kernels amortize their launch ramp
     // and classify memory-bound on the test part.
     let profile = roundtrip_profile(1_000_000, metrics::ProfileOptions::new(256));
@@ -222,7 +209,6 @@ fn anomaly_threshold_bounds_the_flagged_set() {
 /// a dependent-bit chain, not a bandwidth problem.
 #[test]
 fn merge_kernels_ride_roofline_and_serial_decode_is_latency_bound() {
-    let _g = lock();
     // Merge kernels need a large input to amortize the launch ramp; the
     // bit-serial decoder is latency-bound at any size, so it gets a
     // smaller (cheaper) run of its own.
@@ -261,7 +247,6 @@ fn merge_kernels_ride_roofline_and_serial_decode_is_latency_bound() {
 #[test]
 #[ignore = "64 MB acceptance input; run with --release -- --ignored"]
 fn accept_64mb_encode_kernels_classify_on_v100() {
-    let _g = lock();
     use huff::PaperDataset;
     let d = PaperDataset::Enwik8;
     let n = (64 << 20) / d.symbol_bytes() as usize;
@@ -291,7 +276,6 @@ fn accept_64mb_encode_kernels_classify_on_v100() {
 #[test]
 #[ignore = "64 MB acceptance input; run with --release -- --ignored"]
 fn accept_64mb_fused_kernels_leave_the_latency_wall() {
-    let _g = lock();
     use huff::huff_core::KernelPlan;
     use huff::PaperDataset;
     let d = PaperDataset::Enwik8;
@@ -331,40 +315,36 @@ fn accept_64mb_fused_kernels_leave_the_latency_wall() {
     assert!(!bt.anomaly, "compacted backtrace still flagged anomalous: {:?}", bt.counters);
 }
 
-/// Global-registry counters are monotone across runs: a second identical
-/// operation can only grow them.
+/// Registry counters are monotone across runs: a second identical
+/// operation recorded into the same registry can only grow them.
 #[test]
 fn global_counters_are_monotone_across_runs() {
-    let _g = lock();
     let data = sample(20_000);
     let opts = CompressOptions::new(256);
-    registry::global().reset();
+    let bytes_in = data.len() as u64 * 2;
+    let mut reg = Registry::new();
 
-    archive::compress(&data, &opts).unwrap();
-    let after_one: Vec<(String, f64)> = {
-        let g = registry::global();
-        [
-            ("rsh_runs_total", vec![("direction", "compress")]),
-            ("rsh_bytes_in_total", vec![("direction", "compress")]),
-            ("rsh_bytes_out_total", vec![("direction", "compress")]),
-            ("rsh_chunks_total", vec![]),
-        ]
-        .into_iter()
-        .map(|(n, l)| (n.to_string(), g.get(n, &l)))
-        .collect()
-    };
+    reg.record_compress(bytes_in, &archive::compress(&data, &opts).unwrap());
+    let after_one: Vec<(String, f64)> = [
+        ("rsh_runs_total", vec![("direction", "compress")]),
+        ("rsh_bytes_in_total", vec![("direction", "compress")]),
+        ("rsh_bytes_out_total", vec![("direction", "compress")]),
+        ("rsh_chunks_total", vec![]),
+    ]
+    .into_iter()
+    .map(|(n, l)| (n.to_string(), reg.get(n, &l)))
+    .collect();
     assert!(after_one.iter().all(|(_, v)| *v > 0.0), "first run must record: {after_one:?}");
 
-    archive::compress(&data, &opts).unwrap();
-    let g = registry::global();
+    reg.record_compress(bytes_in, &archive::compress(&data, &opts).unwrap());
     for (name, before) in &after_one {
         let labels: &[(&str, &str)] =
             if name.starts_with("rsh_chunks") { &[] } else { &[("direction", "compress")] };
-        let now = g.get(name, labels);
+        let now = reg.get(name, labels);
         assert!(now > *before, "{name} did not grow: {before} -> {now}");
     }
     // Exactly double: the runs were identical.
-    assert_eq!(g.get("rsh_runs_total", &[("direction", "compress")]), 2.0);
+    assert_eq!(reg.get("rsh_runs_total", &[("direction", "compress")]), 2.0);
 }
 
 /// The `rsh stats` reconciliation contract: after one compress,
@@ -373,60 +353,53 @@ fn global_counters_are_monotone_across_runs() {
 /// frame's shard count each time.
 #[test]
 fn registry_reconciles_with_archive_and_frame() {
-    let _g = lock();
     let data = sample(30_000);
 
     // Plain compress: bytes_out == archive size, bytes_in == input bytes.
-    registry::global().reset();
     let archive_bytes = archive::compress(&data, &CompressOptions::new(256)).unwrap();
+    let mut reg = Registry::new();
+    reg.record_compress(data.len() as u64 * 2, &archive_bytes);
     {
-        let g = registry::global();
         let d = [("direction", "compress")];
-        assert_eq!(g.get("rsh_bytes_out_total", &d), archive_bytes.len() as f64);
-        assert_eq!(g.get("rsh_bytes_in_total", &d), (data.len() * 2) as f64);
-        assert_eq!(g.get("rsh_runs_total", &d), 1.0);
+        assert_eq!(reg.get("rsh_bytes_out_total", &d), archive_bytes.len() as f64);
+        assert_eq!(reg.get("rsh_bytes_in_total", &d), (data.len() * 2) as f64);
+        assert_eq!(reg.get("rsh_runs_total", &d), 1.0);
     }
 
     // Batched compress: shards_total == the frame's shard count.
-    registry::global().reset();
     let mut opts = BatchOptions::new(256);
     opts.shard_symbols = data.len().div_ceil(4).max(1);
-    let (frame, report) = compress_batched(&data, &opts).unwrap();
+    let (frame, report, quarantine) = compress_batched_with_faults(&data, &opts, &[]).unwrap();
     let info =
         huff::huff_core::frame::parse(&frame, huff::huff_core::integrity::Verify::Full).unwrap();
     assert_eq!(report.shards.len(), info.num_shards());
-    assert_eq!(registry::global().get("rsh_shards_total", &[]), info.num_shards() as f64);
+    let mut reg = Registry::new();
+    reg.record_batch_compress(&frame, &report, &quarantine);
+    assert_eq!(reg.get("rsh_shards_total", &[]), info.num_shards() as f64);
 
     // Frame decompress: shards_total counts the decoded shards again and
     // they all come back clean.
-    registry::global().reset();
-    let rec = archive::decompress_with(&frame, &DecompressOptions::strict()).unwrap();
+    let opts = DecompressOptions::strict();
+    let rec = archive::decompress_with(&frame, &opts).unwrap();
     assert_eq!(rec.symbols, data);
-    {
-        let g = registry::global();
-        assert_eq!(g.get("rsh_shards_total", &[]), info.num_shards() as f64);
-        assert_eq!(g.get("rsh_shards_ok_total", &[]), info.num_shards() as f64);
-        assert_eq!(g.get("rsh_shards_recovered_total", &[]), 0.0);
-    }
+    let mut reg = Registry::new();
+    reg.record_decompress(&frame, &rec, opts.decoder);
+    assert_eq!(reg.get("rsh_shards_total", &[]), info.num_shards() as f64);
+    assert_eq!(reg.get("rsh_shards_ok_total", &[]), info.num_shards() as f64);
+    assert_eq!(reg.get("rsh_shards_recovered_total", &[]), 0.0);
 }
 
-/// Profiling feeds the kernel-efficiency histogram: one observation per
-/// kernel, every one inside the [0, 1] buckets, and the Prometheus
-/// exposition carries cumulative `le` buckets for it.
+/// Profiling yields one roofline efficiency per kernel, every one a
+/// fraction in [0, 1], and device seconds for the encode stage.
 #[test]
 fn profiler_populates_efficiency_histogram() {
-    let _g = lock();
-    registry::global().reset();
     let profile = roundtrip_profile(40_000, metrics::ProfileOptions::new(256));
 
-    let g = registry::global();
-    assert_eq!(g.count("rsh_kernel_efficiency", &[]), profile.kernels.len() as u64);
-    let text = g.render();
-    assert!(text.contains("# TYPE rsh_kernel_efficiency histogram"));
-    assert!(text.contains("rsh_kernel_efficiency_bucket{le=\"+Inf\"}"));
-    // Every observation is a fraction, so +Inf and le="1" agree.
-    let count = g.count("rsh_kernel_efficiency", &[]);
-    assert!(text.contains(&format!("rsh_kernel_efficiency_bucket{{le=\"1\"}} {count}")));
-    // Stage seconds were recorded for the device stages.
-    assert!(g.get("rsh_stage_seconds_total", &[("stage", "encode")]) > 0.0);
+    assert!(!profile.kernels.is_empty());
+    for k in &profile.kernels {
+        let e = k.record.counters(&profile.spec).efficiency;
+        assert!((0.0..=1.0).contains(&e), "{}: efficiency {e}", k.record.name);
+    }
+    let encode = profile.stages.iter().find(|s| s.stage == "encode").expect("encode stage");
+    assert!(encode.seconds > 0.0);
 }

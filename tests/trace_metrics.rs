@@ -411,15 +411,15 @@ fn metrics_exposition_is_byte_deterministic_and_sorted() {
     a.record_degraded("chunked");
     a.record_deadline_miss();
     a.record_queue_wait(0.25, 3);
-    a.record_shards_quarantined(2);
-    a.record_compress(1000, 300, 3.3, 4);
-    a.record_decode_backend("lut");
+    a.add("rsh_quarantined_shards_total", &[], 2.0);
+    a.record_compress(1000, &[0; 300]);
+    a.add("rsh_decode_backend_total", &[("backend", "lut")], 1.0);
 
     // Same events, opposite order.
     let mut b = Registry::new();
-    b.record_decode_backend("lut");
-    b.record_compress(1000, 300, 3.3, 4);
-    b.record_shards_quarantined(2);
+    b.add("rsh_decode_backend_total", &[("backend", "lut")], 1.0);
+    b.record_compress(1000, &[0; 300]);
+    b.add("rsh_quarantined_shards_total", &[], 2.0);
     b.record_queue_wait(0.25, 3);
     b.record_deadline_miss();
     b.record_degraded("chunked");
