@@ -107,6 +107,11 @@ impl BitWriter {
 }
 
 /// An MSB-first bit cursor over a byte slice.
+///
+/// Multi-bit reads go through a 64-bit window: one unaligned big-endian
+/// `u64` load at the current byte, shifted by the bit offset, so every
+/// window holds at least 57 valid bits. Only the last seven bytes of the
+/// buffer take a bounds-checked byte-by-byte path.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     buf: &'a [u8],
@@ -115,6 +120,10 @@ pub struct BitReader<'a> {
     /// Total readable bits.
     len_bits: u64,
 }
+
+/// Bits a [`BitReader::window`] is guaranteed to hold past the current
+/// position (64 minus the largest in-byte offset).
+pub(crate) const WINDOW_BITS: u32 = 57;
 
 impl<'a> BitReader<'a> {
     /// A reader over `buf` exposing exactly `len_bits` bits.
@@ -155,37 +164,75 @@ impl<'a> BitReader<'a> {
 
     /// Read `len` bits MSB-first into the low bits of a `u64`.
     pub fn read_bits(&mut self, len: u32) -> Result<u64> {
-        debug_assert!(len <= 64);
-        if self.pos + u64::from(len) > self.len_bits {
-            return Err(HuffError::CorruptStream("read past end of bitstream"));
-        }
-        let mut out = 0u64;
-        let mut remaining = len;
-        while remaining > 0 {
-            let byte = self.buf[(self.pos / 8) as usize];
-            let offset = (self.pos % 8) as u32;
-            let avail = 8 - offset;
-            let take = avail.min(remaining);
-            let field = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
-            out = (out << take) | u64::from(field);
-            self.pos += u64::from(take);
-            remaining -= take;
-        }
-        Ok(out)
+        let v = self.peek_bits(len)?;
+        self.pos += u64::from(len);
+        Ok(v)
     }
 
     /// Read `len` bits MSB-first without consuming them.
-    ///
-    /// The multi-bit LUT decoder ([`crate::decode::lut`]) peeks a whole
-    /// window, looks the prefix up, then [`skip`](Self::skip)s only the
-    /// bits the matched codeword actually consumed.
     pub fn peek_bits(&self, len: u32) -> Result<u64> {
-        self.clone().read_bits(len)
+        debug_assert!(len <= 64);
+        if u64::from(len) > self.remaining() {
+            return Err(HuffError::CorruptStream("read past end of bitstream"));
+        }
+        if len == 0 {
+            return Ok(0);
+        }
+        let mut w = self.window();
+        let shift = (self.pos % 8) as u32;
+        if len + shift > 64 {
+            // Only a full eight-byte load leaves bits to top up, and
+            // `len` bits in range put the ninth byte inside the buffer.
+            w |= u64::from(self.buf[(self.pos / 8) as usize + 8]) >> (8 - shift);
+        }
+        Ok(w >> (64 - len))
+    }
+
+    /// The stream bits from the current position, MSB-aligned: the top
+    /// `64 - position % 8` bits (at least [`WINDOW_BITS`]) come from the
+    /// buffer, or all the buffer has left when fewer remain, and zeros
+    /// follow. Bits past [`remaining`](Self::remaining) are not stream
+    /// bits; a caller must not consume them.
+    #[inline]
+    pub(crate) fn window(&self) -> u64 {
+        let byte = (self.pos / 8) as usize;
+        let raw = match self.buf.get(byte..byte + 8) {
+            Some(b) => u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
+            None => self.tail_word(byte),
+        };
+        raw << (self.pos % 8)
+    }
+
+    /// The bytes from `byte` to the end of the buffer (fewer than eight),
+    /// big-endian in the high bytes of a zero-filled word.
+    #[cold]
+    fn tail_word(&self, byte: usize) -> u64 {
+        let mut b = [0u8; 8];
+        let tail = self.buf.get(byte..).unwrap_or(&[]);
+        b[..tail.len()].copy_from_slice(tail);
+        u64::from_be_bytes(b)
+    }
+
+    /// The first position at which [`window`](Self::window) may stop
+    /// being a full eight-byte load or hold fewer than [`WINDOW_BITS`]
+    /// stream bits. Below it a caller may consume up to `WINDOW_BITS`
+    /// bits of a window without checking [`remaining`](Self::remaining).
+    #[inline]
+    pub(crate) fn full_window_end(&self) -> u64 {
+        let loadable = (self.buf.len() as u64).saturating_sub(7) * 8;
+        loadable.min((self.len_bits + 1).saturating_sub(u64::from(WINDOW_BITS)))
+    }
+
+    /// Advance by `len` bits the caller has already checked are in range.
+    #[inline]
+    pub(crate) fn consume(&mut self, len: u32) {
+        debug_assert!(u64::from(len) <= self.remaining());
+        self.pos += u64::from(len);
     }
 
     /// Skip `len` bits.
     pub fn skip(&mut self, len: u64) -> Result<()> {
-        if self.pos + len > self.len_bits {
+        if len > self.remaining() {
             return Err(HuffError::CorruptStream("skip past end of bitstream"));
         }
         self.pos += len;

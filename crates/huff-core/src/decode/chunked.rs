@@ -15,6 +15,8 @@
 //! live in the header sidecar and survive payload damage) while intact
 //! chunks decode normally.
 
+use super::lut::DEFAULT_LUT_BITS;
+use super::multi::MultiLut;
 use crate::bitstream::BitReader;
 use crate::codebook::CanonicalCodebook;
 use crate::encode::ChunkedStream;
@@ -22,44 +24,62 @@ use crate::error::{HuffError, Result};
 use crate::integrity::RecoveryReport;
 use rayon::prelude::*;
 
+/// Chunk `ci`'s symbol count and its first global reduce-unit index.
+fn chunk_geometry(stream: &ChunkedStream, ci: usize) -> (usize, u64) {
+    let chunk_syms = stream.config.chunk_symbols();
+    let sym_count = chunk_syms.min(stream.num_symbols.saturating_sub(ci * chunk_syms));
+    (sym_count, ci as u64 * stream.config.units_per_chunk() as u64)
+}
+
+/// Lay out chunk `ci`'s symbols: breaking units come from the sidecar,
+/// and `fill` supplies each run of coded symbols between them, in
+/// stream order. One cursor walks the sidecar from the chunk's first
+/// unit, so a chunk costs one binary search, not one per unit.
+pub(crate) fn splice_chunk(
+    stream: &ChunkedStream,
+    ci: usize,
+    mut fill: impl FnMut(&mut [u16]) -> Result<()>,
+) -> Result<Vec<u16>> {
+    let (sym_count, first_unit) = chunk_geometry(stream, ci);
+    let unit_syms = stream.config.unit_symbols().max(1);
+    let mut out = vec![0u16; sym_count];
+    let mut done = 0;
+    for (unit, raw) in stream.outliers.iter_from(first_unit) {
+        let start =
+            usize::try_from(unit - first_unit).map_or(usize::MAX, |u| u.saturating_mul(unit_syms));
+        if start >= sym_count {
+            break;
+        }
+        fill(&mut out[done..start])?;
+        let end = sym_count.min(start + unit_syms);
+        if raw.len() != end - start {
+            return Err(HuffError::CorruptStream("outlier unit length mismatch"));
+        }
+        out[start..end].copy_from_slice(raw);
+        done = end;
+    }
+    fill(&mut out[done..])?;
+    Ok(out)
+}
+
 /// Decode chunk `ci` of `stream` to symbols.
 pub(crate) fn decode_chunk(
     stream: &ChunkedStream,
-    book: &CanonicalCodebook,
+    table: &MultiLut<'_>,
     ci: usize,
 ) -> Result<Vec<u16>> {
-    let chunk_syms = stream.config.chunk_symbols();
-    let unit_syms = stream.config.unit_symbols().max(1);
-    let units_per_chunk = stream.config.units_per_chunk() as u64;
-
-    let sym_base = ci * chunk_syms;
-    let sym_count = chunk_syms.min(stream.num_symbols.saturating_sub(sym_base));
     let mut reader = BitReader::new(&stream.bytes, stream.total_bits);
     reader.skip(stream.chunk_bit_offsets[ci])?;
-
-    let mut out = Vec::with_capacity(sym_count);
-    let n_units = sym_count.div_ceil(unit_syms);
-    for u in 0..n_units {
-        let global_unit = ci as u64 * units_per_chunk + u as u64;
-        let in_unit = unit_syms.min(sym_count - u * unit_syms);
-        if let Some(raw) = stream.outliers.lookup(global_unit) {
-            if raw.len() != in_unit {
-                return Err(HuffError::CorruptStream("outlier unit length mismatch"));
-            }
-            out.extend_from_slice(raw);
-        } else {
-            for _ in 0..in_unit {
-                out.push(book.decode_symbol(|| reader.read_bit())?);
-            }
-        }
-    }
-    Ok(out)
+    splice_chunk(stream, ci, |run| table.decode(&mut reader, u64::MAX, run).1)
 }
 
 /// Decode a chunked stream back to symbols.
 pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
-    let parts: Vec<Result<Vec<u16>>> =
-        (0..stream.num_chunks()).into_par_iter().map(|ci| decode_chunk(stream, book, ci)).collect();
+    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
+    let parts: Vec<Result<Vec<u16>>> = (0..stream.num_chunks())
+        .into_par_iter()
+        .map(|ci| decode_chunk(stream, &table, ci))
+        .collect();
 
     let mut out = Vec::with_capacity(stream.num_symbols);
     for p in parts {
@@ -72,12 +92,13 @@ pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u1
 }
 
 /// Decode a chunked stream on a single thread, chunk by chunk — the
-/// bit-serial baseline the paper's decoders are measured against. Output
+/// serial baseline the paper's decoders are measured against. Output
 /// is bit-exact with [`decode`] (and with [`crate::decode::lut::decode`]).
 pub(crate) fn decode_serial(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
+    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
     let mut out = Vec::with_capacity(stream.num_symbols);
     for ci in 0..stream.num_chunks() {
-        out.extend_from_slice(&decode_chunk(stream, book, ci)?);
+        out.extend_from_slice(&decode_chunk(stream, &table, ci)?);
     }
     if out.len() != stream.num_symbols {
         return Err(HuffError::CorruptStream("decoded count disagrees with header"));
@@ -150,20 +171,18 @@ pub(crate) fn fill_damaged_chunk(
     ci: usize,
     sentinel: u16,
 ) -> (Vec<u16>, Vec<(usize, usize)>) {
-    let chunk_syms = stream.config.chunk_symbols();
+    let (sym_count, first_unit) = chunk_geometry(stream, ci);
     let unit_syms = stream.config.unit_symbols().max(1);
-    let units_per_chunk = stream.config.units_per_chunk() as u64;
-    let sym_base = ci * chunk_syms;
-    let sym_count = chunk_syms.min(stream.num_symbols.saturating_sub(sym_base));
 
     let mut out = Vec::with_capacity(sym_count);
     let mut lost: Vec<(usize, usize)> = Vec::new();
+    let mut outliers = stream.outliers.iter_from(first_unit).peekable();
     let n_units = sym_count.div_ceil(unit_syms);
     for u in 0..n_units {
-        let global_unit = ci as u64 * units_per_chunk + u as u64;
+        let global_unit = first_unit + u as u64;
         let in_unit = unit_syms.min(sym_count - u * unit_syms);
-        match stream.outliers.lookup(global_unit) {
-            Some(raw) if raw.len() == in_unit => out.extend_from_slice(raw),
+        match outliers.next_if(|&(i, _)| i == global_unit) {
+            Some((_, raw)) if raw.len() == in_unit => out.extend_from_slice(raw),
             _ => {
                 let start = out.len();
                 out.resize(out.len() + in_unit, sentinel);
@@ -190,7 +209,8 @@ pub(crate) fn decode_best_effort(
     damaged: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport) {
-    decode_best_effort_with(stream, damaged, sentinel, true, |ci| decode_chunk(stream, book, ci))
+    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
+    decode_best_effort_with(stream, damaged, sentinel, true, |ci| decode_chunk(stream, &table, ci))
 }
 
 /// Single-thread variant of [`decode_best_effort`]: same output, same
@@ -201,7 +221,8 @@ pub(crate) fn decode_serial_best_effort(
     damaged: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport) {
-    decode_best_effort_with(stream, damaged, sentinel, false, |ci| decode_chunk(stream, book, ci))
+    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
+    decode_best_effort_with(stream, damaged, sentinel, false, |ci| decode_chunk(stream, &table, ci))
 }
 
 /// The report best-effort decoding *would* produce for `damaged`,

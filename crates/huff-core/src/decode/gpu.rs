@@ -248,7 +248,12 @@ fn launch(
                     },
                     Recovery::BestEffort { damage, sentinel } => (
                         Ok(lut::decode_best_effort_with(
-                            stream, book, &table, cfg, damage, sentinel,
+                            stream,
+                            book,
+                            table.bits(),
+                            cfg,
+                            damage,
+                            sentinel,
                         )),
                         GapStats::estimate(stream, cfg),
                     ),

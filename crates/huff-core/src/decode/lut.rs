@@ -1,12 +1,11 @@
 //! Second-generation decoder: multi-bit LUT decoding with subchunk
 //! self-synchronization (the gap array).
 //!
-//! The bit-serial decoders ([`super::canonical`], [`super::chunked`])
-//! consume one bit per `First`/`Entry` probe, so a symbol costs
-//! `code-length` dependent steps. Rivera et al. 2022 ("Optimizing Huffman
-//! Decoding for Error-Bounded Lossy Compression on GPUs", the companion
-//! to the source paper) replace that walk with two ideas this module
-//! reproduces:
+//! A bit-serial decoder ([`super::canonical`]) consumes one bit per
+//! `First`/`Entry` probe, so a symbol costs `code-length` dependent
+//! steps. Rivera et al. 2022 ("Optimizing Huffman Decoding for
+//! Error-Bounded Lossy Compression on GPUs", the companion to the source
+//! paper) replace that walk with two ideas this module reproduces:
 //!
 //! 1. **Decode LUT** ([`DecodeLut`]): a table indexed by the next
 //!    `L = min(max_len, 12)` stream bits whose entry yields the decoded
@@ -23,12 +22,24 @@
 //!    then every subsequence decodes independently and a compaction pass
 //!    concatenates the outputs.
 //!
+//! [`DecodeLut`] is the table the modeled kernels in [`super::gpu`] are
+//! charged for. On the host, the walks run the loop every backend shares
+//! (`decode::multi`): a multi-symbol table of the same index width (at
+//! most 12 bits) that yields up to two codewords per probe. Each sync
+//! walk decodes into its subsequence's slot, and the last walk of each
+//! subsequence starts from its settled gap, so the decode pass
+//! concatenates those slots instead of walking again. The walks step
+//! exactly the codewords a one-symbol probe would, so [`GapStats`] — and
+//! every modeled number derived from it — are those of the algorithm
+//! above.
+//!
 //! Neither structure is serialized: both derive deterministically from the
 //! archive's codeword lengths (see FORMAT.md § "Decode LUT and gap
 //! array"). Output is bit-exact with the other decoders — that invariant
 //! is enforced by unit tests here and the cross-decoder property suite.
 
 use super::chunked;
+use super::multi::MultiLut;
 use crate::bitstream::BitReader;
 use crate::codebook::CanonicalCodebook;
 use crate::encode::ChunkedStream;
@@ -102,31 +113,6 @@ impl DecodeLut {
             Some((e as u16, len))
         }
     }
-
-    /// Decode one symbol from `reader`: peek up to `L` bits, probe, and
-    /// skip only the consumed length. Falls back to the bit-serial
-    /// `First`/`Entry` walk when the codeword is longer than the table or
-    /// fewer than its length bits remain — the fall-back also reports
-    /// truncation precisely.
-    #[inline]
-    pub fn decode_symbol(
-        &self,
-        book: &CanonicalCodebook,
-        reader: &mut BitReader<'_>,
-    ) -> Result<u16> {
-        let avail = reader.remaining().min(u64::from(self.bits)) as u32;
-        if avail > 0 {
-            // MSB-align a short window so the prefix indexes correctly.
-            let window = reader.peek_bits(avail)? << (self.bits - avail);
-            if let Some((sym, len)) = self.lookup(window) {
-                if len <= avail {
-                    reader.skip(u64::from(len))?;
-                    return Ok(sym);
-                }
-            }
-        }
-        book.decode_symbol(|| reader.read_bit())
-    }
 }
 
 /// Subchunk geometry for the gap-array sync pass.
@@ -185,30 +171,29 @@ impl GapStats {
 }
 
 /// Walk codeword lengths from a candidate boundary `gap` until the first
-/// boundary at or past `end`. `None` when the speculative walk fails
-/// (wrong guess landed mid-codeword on garbage) — corrected by a later
-/// pass once the left neighbor's gap is exact.
+/// boundary at or past `end`, decoding the codewords into `slot`. Returns
+/// the exit and how many codewords the walk decoded, or the error when
+/// the speculative walk fails (wrong guess landed mid-codeword on
+/// garbage) — corrected by a later pass once the left neighbor's gap is
+/// exact. Every codeword stepped counts in `sync_steps`, the one that
+/// fails included.
 fn sync_exit(
     bytes: &[u8],
     limit_bits: u64,
     gap: u64,
     end: u64,
-    book: &CanonicalCodebook,
-    lut: &DecodeLut,
+    table: &MultiLut<'_>,
+    slot: &mut [u16],
     stats: &mut GapStats,
-) -> Option<u64> {
+) -> Result<(u64, usize)> {
     if gap >= end {
-        return Some(gap);
+        return Ok((gap, 0));
     }
     let mut reader = BitReader::new(bytes, limit_bits);
-    reader.skip(gap).ok()?;
-    let mut pos = gap;
-    while pos < end {
-        stats.sync_steps += 1;
-        lut.decode_symbol(book, &mut reader).ok()?;
-        pos = reader.position();
-    }
-    Some(pos)
+    reader.skip(gap)?;
+    let (steps, walked) = table.decode(&mut reader, end, slot);
+    stats.sync_steps += steps as u64 + u64::from(walked.is_err());
+    walked.map(|()| (reader.position(), steps))
 }
 
 /// Wrap a low-level decode failure with the gap-array position it struck,
@@ -220,13 +205,11 @@ fn gap_err(chunk: usize, subchunk: usize, gap_bit: u64, cause: &HuffError) -> Hu
 
 /// Gap-array decode of the payload bit span `[off, off + len)` of chunk
 /// `ci` (the chunk index only contextualizes errors).
-#[allow(clippy::too_many_arguments)] // internal helper mirroring the kernel signature
 fn decode_span(
     bytes: &[u8],
     off: u64,
     len: u64,
-    book: &CanonicalCodebook,
-    lut: &DecodeLut,
+    table: &MultiLut<'_>,
     cfg: SubchunkConfig,
     ci: usize,
     stats: &mut GapStats,
@@ -263,13 +246,20 @@ fn decode_span(
     // the fixpoint arrives in at most n_sub passes; the cap below turns a
     // non-converging (corrupt) stream into an error instead of a loop.
     let mut gaps: Vec<u64> = (0..n_sub).map(|i| off + i as u64 * w).collect();
-    let mut exits: Vec<Option<u64>> = vec![None; n_sub];
+    let mut exits: Vec<Result<(u64, usize)>> =
+        (0..n_sub).map(|_| Err(HuffError::CorruptStream("subsequence not walked"))).collect();
     let mut dirty = vec![true; n_sub];
+    // Each walk decodes into its subsequence's slot: a walk from a gap at
+    // or past the subsequence start decodes at most one codeword per bit
+    // up to its end, so slots as wide as the subsequences never overflow.
+    // The last walk of each subsequence starts from its settled gap, so
+    // its slot already holds what the decode pass would decode.
+    let mut slots = vec![0u16; len as usize];
     let mut passes = 0u64;
     loop {
-        for i in 0..n_sub {
+        for (i, slot) in slots.chunks_mut(w as usize).enumerate() {
             if std::mem::take(&mut dirty[i]) {
-                exits[i] = sync_exit(bytes, end_bits, gaps[i], sub_end(i), book, lut, stats);
+                exits[i] = sync_exit(bytes, end_bits, gaps[i], sub_end(i), table, slot, stats);
             }
         }
         passes += 1;
@@ -277,7 +267,7 @@ fn decode_span(
         for i in 0..n_sub - 1 {
             // A failed speculative walk proposes the subsequence boundary
             // itself until a later pass corrects it.
-            let proposal = exits[i].unwrap_or_else(|| sub_end(i));
+            let proposal = exits[i].as_ref().map_or_else(|_| sub_end(i), |&(exit, _)| exit);
             if gaps[i + 1] != proposal {
                 gaps[i + 1] = proposal;
                 dirty[i + 1] = true;
@@ -303,16 +293,13 @@ fn decode_span(
     // [gap, sub_end); the codeword straddling its right edge belongs to it,
     // which is exactly where the next subsequence's gap points. Compaction
     // concatenates, so the union is the chunk's serial decode, bit-exactly.
+    // The settled walks already decoded every subsequence into its slot,
+    // and the first one that failed holds the error its decode would hit.
     let mut out: Vec<u16> = Vec::new();
-    for (i, &gap) in gaps.iter().enumerate().take(n_sub) {
-        let end = sub_end(i);
-        if gap >= end {
-            continue; // one codeword spans this whole subsequence
-        }
-        let mut reader = BitReader::new(bytes, end_bits);
-        reader.skip(gap).map_err(|e| gap_err(ci, i, gap, &e))?;
-        while reader.position() < end {
-            out.push(lut.decode_symbol(book, &mut reader).map_err(|e| gap_err(ci, i, gap, &e))?);
+    for (i, slot) in slots.chunks(w as usize).enumerate() {
+        match &exits[i] {
+            Ok((_, count)) => out.extend_from_slice(&slot[..*count]),
+            Err(e) => return Err(gap_err(ci, i, gaps[i], e)),
         }
     }
     stats.decoded_symbols += out.len() as u64;
@@ -324,45 +311,28 @@ fn decode_span(
 /// [`chunked::decode`]'s per-chunk step).
 pub(crate) fn decode_chunk(
     stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-    lut: &DecodeLut,
+    table: &MultiLut<'_>,
     cfg: SubchunkConfig,
     ci: usize,
     stats: &mut GapStats,
 ) -> Result<Vec<u16>> {
-    let chunk_syms = stream.config.chunk_symbols();
-    let unit_syms = stream.config.unit_symbols().max(1);
-    let units_per_chunk = stream.config.units_per_chunk() as u64;
-    let sym_base = ci * chunk_syms;
-    let sym_count = chunk_syms.min(stream.num_symbols.saturating_sub(sym_base));
-
     let off = stream.chunk_bit_offsets[ci];
     let len = stream.chunk_bit_lens[ci];
     if off.checked_add(len).is_none_or(|e| e > stream.total_bits) {
         return Err(HuffError::CorruptStream("chunk span beyond payload"));
     }
-    let coded = decode_span(&stream.bytes, off, len, book, lut, cfg, ci, stats)?;
+    let coded = decode_span(&stream.bytes, off, len, table, cfg, ci, stats)?;
 
-    let mut out = Vec::with_capacity(sym_count);
     let mut taken = 0usize;
-    let n_units = sym_count.div_ceil(unit_syms);
-    for u in 0..n_units {
-        let global_unit = ci as u64 * units_per_chunk + u as u64;
-        let in_unit = unit_syms.min(sym_count - u * unit_syms);
-        if let Some(raw) = stream.outliers.lookup(global_unit) {
-            if raw.len() != in_unit {
-                return Err(HuffError::CorruptStream("outlier unit length mismatch"));
-            }
-            out.extend_from_slice(raw);
-        } else {
-            let next = taken + in_unit;
-            if next > coded.len() {
-                return Err(HuffError::CorruptStream("decoded count disagrees with header"));
-            }
-            out.extend_from_slice(&coded[taken..next]);
-            taken = next;
-        }
-    }
+    let out = chunked::splice_chunk(stream, ci, |run| {
+        let next = taken + run.len();
+        let src = coded
+            .get(taken..next)
+            .ok_or(HuffError::CorruptStream("decoded count disagrees with header"))?;
+        run.copy_from_slice(src);
+        taken = next;
+        Ok(())
+    })?;
     if taken != coded.len() {
         return Err(HuffError::CorruptStream("decoded count disagrees with header"));
     }
@@ -372,17 +342,26 @@ pub(crate) fn decode_chunk(
 /// Decode a chunked stream with the default LUT width and subchunk
 /// geometry. Bit-exact with [`chunked::decode`].
 pub(crate) fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
-    let lut = DecodeLut::build(book, DEFAULT_LUT_BITS);
-    decode_with(stream, book, &lut, SubchunkConfig::default()).map(|(s, _)| s)
+    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
+    decode_gap(stream, &table, SubchunkConfig::default()).map(|(s, _)| s)
 }
 
 /// Decode with explicit LUT and subchunk geometry, returning the work
 /// counters alongside the symbols (chunks decode in parallel; counters
-/// are merged).
+/// are merged). The host probes a multi-symbol table of the LUT's index
+/// width (at most [`DEFAULT_LUT_BITS`]); the counters do not depend on it.
 pub fn decode_with(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     lut: &DecodeLut,
+    cfg: SubchunkConfig,
+) -> Result<(Vec<u16>, GapStats)> {
+    decode_gap(stream, &MultiLut::new(book, lut.bits()), cfg)
+}
+
+fn decode_gap(
+    stream: &ChunkedStream,
+    table: &MultiLut<'_>,
     cfg: SubchunkConfig,
 ) -> Result<(Vec<u16>, GapStats)> {
     type ChunkOut = Result<(Vec<u16>, GapStats)>;
@@ -390,7 +369,7 @@ pub fn decode_with(
         .into_par_iter()
         .map(|ci| {
             let mut st = GapStats::default();
-            decode_chunk(stream, book, lut, cfg, ci, &mut st).map(|v| (v, st))
+            decode_chunk(stream, table, cfg, ci, &mut st).map(|v| (v, st))
         })
         .collect();
 
@@ -417,22 +396,24 @@ pub(crate) fn decode_best_effort(
     damaged: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport) {
-    let lut = DecodeLut::build(book, DEFAULT_LUT_BITS);
-    decode_best_effort_with(stream, book, &lut, SubchunkConfig::default(), damaged, sentinel)
+    let cfg = SubchunkConfig::default();
+    decode_best_effort_with(stream, book, DEFAULT_LUT_BITS, cfg, damaged, sentinel)
 }
 
-/// Best-effort decode with explicit LUT and subchunk geometry.
+/// Best-effort decode with an explicit LUT index width and subchunk
+/// geometry.
 pub(crate) fn decode_best_effort_with(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
-    lut: &DecodeLut,
+    lut_bits: u32,
     cfg: SubchunkConfig,
     damaged: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport) {
+    let table = MultiLut::new(book, lut_bits);
     chunked::decode_best_effort_with(stream, damaged, sentinel, true, |ci| {
         let mut st = GapStats::default();
-        decode_chunk(stream, book, lut, cfg, ci, &mut st)
+        decode_chunk(stream, &table, cfg, ci, &mut st)
     })
 }
 

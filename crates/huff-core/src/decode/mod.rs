@@ -19,6 +19,7 @@ pub mod canonical;
 pub mod chunked;
 pub mod gpu;
 pub mod lut;
+mod multi;
 pub mod tree;
 
 use crate::codebook::CanonicalCodebook;
@@ -27,13 +28,15 @@ use crate::error::{HuffError, Result};
 use crate::integrity::RecoveryReport;
 
 /// Which decoder backend to run. Every backend produces bit-identical
-/// output; they differ in parallelism and modeled device cost.
+/// output; they differ in parallelism and modeled device cost. On the
+/// host all three run the same multi-symbol table loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecoderKind {
-    /// Single-thread bit-serial decode, chunk by chunk — the baseline.
+    /// Single thread, chunk by chunk — the baseline, modeled as one
+    /// bit-serial device thread.
     Serial,
-    /// One worker per chunk, bit-serial within the chunk (the original
-    /// kernel shape).
+    /// One worker per chunk, modeled as a block walking its chunk
+    /// bit-serially (the original kernel shape).
     #[default]
     Chunked,
     /// Multi-bit LUT probes plus subchunk gap-array self-synchronization

@@ -44,6 +44,26 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the CRC register after
+/// byte `b` is followed by `k` zero bytes, so eight input bytes fold into
+/// the register with eight independent lookups instead of a chain of
+/// eight dependent ones. `CRC_TABLES[0]` is [`CRC_TABLE`].
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    tables[0] = CRC_TABLE;
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
 /// Streaming CRC32 (IEEE 802.3, as used by gzip/zlib/PNG).
 #[derive(Debug, Clone)]
 pub struct Crc32 {
@@ -64,8 +84,21 @@ impl Crc32 {
 
     /// Feed `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut c = self.state;
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
             c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
@@ -302,6 +335,39 @@ mod tests {
             h.update(part);
         }
         assert_eq!(h.finalize(), crc32(&data));
+    }
+
+    #[test]
+    fn crc32_split_at_every_offset_matches_oneshot_and_bytewise() {
+        // Slicing-by-8 folds eight bytes at a time and leaves a byte-wise
+        // remainder, so every length mod 8 and every split point of a
+        // streamed update has to land on the same register.
+        let bytewise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..=64usize {
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 56) as u8
+                })
+                .collect();
+            let want = bytewise(&data);
+            assert_eq!(crc32(&data), want, "len {len}");
+            for split in 0..=len {
+                let mut h = Crc32::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), want, "len {len} split {split}");
+            }
+        }
     }
 
     #[test]

@@ -66,16 +66,19 @@ impl SparseOutliers {
         self.indices.is_empty()
     }
 
-    /// The raw symbols of the breaking unit with global index `index`, if
-    /// present (binary search).
-    pub fn lookup(&self, index: u64) -> Option<&[u16]> {
-        let k = self.indices.binary_search(&index).ok()?;
-        Some(&self.symbols[self.offsets[k] as usize..self.offsets[k + 1] as usize])
-    }
-
     /// Iterate `(global_unit_index, symbols)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u16])> {
-        self.indices.iter().enumerate().map(move |(k, &idx)| {
+        self.iter_from(0)
+    }
+
+    /// Iterate `(global_unit_index, symbols)` from the first unit whose
+    /// index is at least `start`: one binary search, then a walk. A
+    /// decoder keeps this cursor across a chunk's units instead of
+    /// searching per unit.
+    pub fn iter_from(&self, start: u64) -> impl Iterator<Item = (u64, &[u16])> {
+        let k0 = self.indices.partition_point(|&i| i < start);
+        self.indices[k0..].iter().enumerate().map(move |(k, &idx)| {
+            let k = k0 + k;
             (idx, &self.symbols[self.offsets[k] as usize..self.offsets[k + 1] as usize])
         })
     }
@@ -109,9 +112,13 @@ mod tests {
         let mut s = SparseOutliers::new();
         s.push(5, &[1, 2, 3]);
         s.push(9, &[4]);
-        assert_eq!(s.lookup(5), Some(&[1u16, 2, 3][..]));
-        assert_eq!(s.lookup(9), Some(&[4u16][..]));
-        assert_eq!(s.lookup(7), None);
+        assert_eq!(s.iter_from(5).next(), Some((5, &[1u16, 2, 3][..])));
+        assert_eq!(s.iter_from(9).next(), Some((9, &[4u16][..])));
+        // No unit 7: a cursor from 7 starts at the next unit.
+        assert_eq!(s.iter_from(7).next(), Some((9, &[4u16][..])));
+        assert_eq!(s.iter_from(6).map(|(i, _)| i).collect::<Vec<_>>(), vec![9]);
+        assert_eq!(s.iter_from(0).map(|(i, _)| i).collect::<Vec<_>>(), vec![5, 9]);
+        assert_eq!(s.iter_from(10).next(), None);
         assert_eq!(s.num_units(), 2);
         assert_eq!(s.total_symbols(), 4);
     }
@@ -128,7 +135,7 @@ mod tests {
     fn empty_sidecar() {
         let s = SparseOutliers::new();
         assert!(s.is_empty());
-        assert_eq!(s.lookup(0), None);
+        assert_eq!(s.iter_from(0).next(), None);
         assert_eq!(s.storage_bits(), 32); // the single base offset
     }
 
@@ -146,7 +153,7 @@ mod tests {
         let b = SparseOutliers::from_units(vec![(4, vec![2]), (6, vec![3])]);
         let c = SparseOutliers::concat(vec![a, b]);
         assert_eq!(c.num_units(), 3);
-        assert_eq!(c.lookup(4), Some(&[2u16][..]));
+        assert_eq!(c.iter_from(2).next(), Some((4, &[2u16][..])));
     }
 
     #[test]
