@@ -15,8 +15,8 @@ use crate::device::DeviceSpec;
 use crate::grid::GridDim;
 use crate::shared::SharedMem;
 use crate::traffic::Traffic;
-use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A simulated GPU: a device spec plus an accumulating simulated clock.
 ///
@@ -49,6 +49,13 @@ impl Gpu {
         &self.spec
     }
 
+    /// The locked clock. The lock is held only inside `SimClock`'s own
+    /// short methods, never while a kernel body runs, so a poisoned lock
+    /// still guards a consistent clock and is taken anyway.
+    fn locked(&self) -> MutexGuard<'_, SimClock> {
+        self.clock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Launch a kernel: run `body` with a fresh [`KernelScope`], then charge
     /// the modeled time (including one kernel ramp) to the clock. Returns
     /// the body's result.
@@ -67,7 +74,7 @@ impl Gpu {
         let mut scope = KernelScope { spec: &self.spec, grid, traffic: Traffic::new() };
         let out = body(&mut scope);
         let breakdown = cost::estimate(&self.spec, &scope.traffic, true);
-        self.clock.lock().record(name, grid, breakdown, scope.traffic);
+        self.locked().record(name, grid, breakdown, scope.traffic);
         out
     }
 
@@ -79,40 +86,40 @@ impl Gpu {
         body: impl FnOnce(&mut KernelScope) -> R,
     ) -> (R, CostBreakdown) {
         let out = self.launch(name, grid, body);
-        let cost = self.clock.lock().records().last().expect("just recorded").cost;
+        let cost = self.locked().records().last().expect("just recorded").cost;
         (out, cost)
     }
 
     /// Total modeled seconds accumulated so far.
     pub fn elapsed(&self) -> f64 {
-        self.clock.lock().elapsed()
+        self.locked().elapsed()
     }
 
     /// Number of kernel launches recorded so far (cheaper than snapshotting
     /// the clock; used to delimit pipeline stages in the trace).
     pub fn launches(&self) -> usize {
-        self.clock.lock().launches()
+        self.locked().launches()
     }
 
     /// Modeled seconds of kernels whose name contains `pat`.
     pub fn elapsed_matching(&self, pat: &str) -> f64 {
-        self.clock.lock().elapsed_matching(pat)
+        self.locked().elapsed_matching(pat)
     }
 
     /// Snapshot the clock.
     pub fn clock(&self) -> SimClock {
-        self.clock.lock().clone()
+        self.locked().clone()
     }
 
     /// Reset the clock to zero.
     pub fn reset_clock(&self) {
-        self.clock.lock().reset();
+        self.locked().reset();
     }
 
     /// Stamp every subsequent launch's record with this trace id (the
     /// owning request's; see [`SimClock::set_trace`]).
     pub fn set_trace(&self, trace: &str) {
-        self.clock.lock().set_trace(trace);
+        self.locked().set_trace(trace);
     }
 }
 

@@ -53,7 +53,7 @@ use crate::integrity::{
 };
 use crate::seek::ChunkIndex;
 use crate::sparse::SparseOutliers;
-use bytes::{Buf, BufMut, BytesMut};
+use crate::wire::Reader;
 use std::ops::Range;
 
 pub(crate) const MAGIC_V1: &[u8; 4] = b"RSH1";
@@ -243,16 +243,17 @@ pub fn serialize(
     symbol_bytes: u8,
 ) -> Result<Vec<u8>> {
     let index = ChunkIndex::build(&stream.chunk_bit_lens, stream.total_bits)?;
-    let mut buf = header_bytes(MAGIC_V2, stream, book, symbol_bytes, FLAG_SEEK_INDEX)?;
+    let tail = 4 * stream.num_chunks() + 4 + stream.bytes.len() + index.byte_len();
+    let mut buf = header_bytes(MAGIC_V2, stream, book, symbol_bytes, FLAG_SEEK_INDEX, tail)?;
     for ci in 0..stream.num_chunks() {
         let span = chunk_byte_span(stream.chunk_bit_offsets[ci], stream.chunk_bit_lens[ci]);
-        buf.put_u32_le(crc32(&stream.bytes[span]));
+        buf.extend_from_slice(&crc32(&stream.bytes[span]).to_le_bytes());
     }
     let header_crc = crc32(&buf);
-    buf.put_u32_le(header_crc);
-    buf.put_slice(&stream.bytes);
+    buf.extend_from_slice(&header_crc.to_le_bytes());
+    buf.extend_from_slice(&stream.bytes);
     index.write_to(&mut buf)?;
-    Ok(buf.to_vec())
+    Ok(buf)
 }
 
 /// Serialize into the legacy RSH1 container (no checksums, no seek
@@ -263,9 +264,9 @@ pub fn serialize_v1(
     book: &CanonicalCodebook,
     symbol_bytes: u8,
 ) -> Result<Vec<u8>> {
-    let mut buf = header_bytes(MAGIC_V1, stream, book, symbol_bytes, 0)?;
-    buf.put_slice(&stream.bytes);
-    Ok(buf.to_vec())
+    let mut buf = header_bytes(MAGIC_V1, stream, book, symbol_bytes, 0, stream.bytes.len())?;
+    buf.extend_from_slice(&stream.bytes);
+    Ok(buf)
 }
 
 /// The byte span of the payload a chunk's bits occupy. A chunk with no
@@ -290,44 +291,48 @@ fn count_u16(n: usize, what: &str) -> Result<u16> {
 }
 
 /// Everything up to (not including) the checksum fields — shared between
-/// both container versions.
+/// both container versions — in a buffer with room for `tail` more bytes,
+/// so the caller appends the rest of the archive without reallocating.
 fn header_bytes(
     magic: &[u8; 4],
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     symbol_bytes: u8,
     flags: u8,
-) -> Result<BytesMut> {
-    let mut buf = BytesMut::with_capacity(stream.bytes.len() + book.num_symbols() + 64);
-    buf.put_slice(magic);
-    buf.put_u8(symbol_bytes);
-    buf.put_u8(stream.config.magnitude as u8);
-    buf.put_u8(stream.config.reduction as u8);
-    buf.put_u8(flags);
-    buf.put_u64_le(stream.num_symbols as u64);
-
+    tail: usize,
+) -> Result<Vec<u8>> {
     let lengths = book.lengths();
-    buf.put_u32_le(count_u32(lengths.len(), "codebook entries")?);
+    let n_chunks = stream.chunk_bit_lens.len();
+    let outlier_bytes = 10 * stream.outliers.num_units() + 2 * stream.outliers.total_symbols();
+    let mut buf = Vec::with_capacity(36 + lengths.len() + 8 * n_chunks + outlier_bytes + tail);
+    buf.extend_from_slice(magic);
+    buf.push(symbol_bytes);
+    buf.push(stream.config.magnitude as u8);
+    buf.push(stream.config.reduction as u8);
+    buf.push(flags);
+    buf.extend_from_slice(&(stream.num_symbols as u64).to_le_bytes());
+
+    buf.extend_from_slice(&count_u32(lengths.len(), "codebook entries")?.to_le_bytes());
     for l in &lengths {
         debug_assert!(*l <= 64);
-        buf.put_u8(*l as u8);
+        buf.push(*l as u8);
     }
 
-    buf.put_u32_le(count_u32(stream.chunk_bit_lens.len(), "chunks")?);
+    buf.extend_from_slice(&count_u32(n_chunks, "chunks")?.to_le_bytes());
     for &l in &stream.chunk_bit_lens {
-        buf.put_u64_le(l);
+        buf.extend_from_slice(&l.to_le_bytes());
     }
 
-    buf.put_u32_le(count_u32(stream.outliers.num_units(), "outlier units")?);
+    buf.extend_from_slice(&count_u32(stream.outliers.num_units(), "outlier units")?.to_le_bytes());
     for (idx, syms) in stream.outliers.iter() {
-        buf.put_u64_le(idx);
-        buf.put_u16_le(count_u16(syms.len(), "outlier unit symbols")?);
+        buf.extend_from_slice(&idx.to_le_bytes());
+        buf.extend_from_slice(&count_u16(syms.len(), "outlier unit symbols")?.to_le_bytes());
         for &s in syms {
-            buf.put_u16_le(s);
+            buf.extend_from_slice(&s.to_le_bytes());
         }
     }
 
-    buf.put_u64_le(stream.total_bits);
+    buf.extend_from_slice(&stream.total_bits.to_le_bytes());
     Ok(buf)
 }
 
@@ -512,29 +517,9 @@ impl HeaderView {
 /// unless `verify` is [`Verify::None`] — header damage stays fatal on
 /// every path.
 pub(crate) fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
-    let mut buf = archive;
-    let need = |buf: &[u8], n: usize| -> Result<()> {
-        if buf.len() < n {
-            Err(bad(format!("truncated: need {n} more bytes")))
-        } else {
-            Ok(())
-        }
-    };
-    // Offset of the next unread byte within `archive`.
-    let pos = |buf: &[u8]| archive.len() - buf.len();
-
-    need(buf, 16)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    let version: u8 = match &magic {
-        MAGIC_V1 => 1,
-        MAGIC_V2 => 2,
-        _ => return Err(bad("bad magic")),
-    };
-    let symbol_bytes = buf.get_u8();
-    let magnitude = u32::from(buf.get_u8());
-    let reduction = u32::from(buf.get_u8());
-    let flags = buf.get_u8();
+    let mut r = Reader::new(archive);
+    let Prefix { version, symbol_bytes, magnitude, reduction, flags, num_symbols } =
+        Prefix::read(&mut r)?;
     if !(2..=24).contains(&magnitude) || reduction == 0 || reduction >= magnitude {
         return Err(bad(format!("bad config M={magnitude} r={reduction}")));
     }
@@ -543,16 +528,11 @@ pub(crate) fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView>
         return Err(bad(format!("bad symbol width {symbol_bytes}")));
     }
     let num_symbols: usize =
-        buf.get_u64_le().try_into().map_err(|_| bad("symbol count exceeds address space"))?;
+        num_symbols.try_into().map_err(|_| bad("symbol count exceeds address space"))?;
     let config = MergeConfig::new(magnitude, reduction);
 
-    need(buf, 4)?;
-    let cb_len = buf.get_u32_le() as usize;
-    need(buf, cb_len)?;
-    // `need` bounds cb_len by the remaining buffer, so the allocation is
-    // capped by the archive's own size.
-    let lengths: Vec<u32> = buf[..cb_len].iter().map(|&l| u32::from(l)).collect();
-    buf.advance(cb_len);
+    let cb_len = r.count("codebook entries", 1)?;
+    let lengths: Vec<u32> = r.take(cb_len)?.iter().map(|&l| u32::from(l)).collect();
     // The empty input's archive stores no codebook at all; a missing
     // codebook with symbols present is still structural damage.
     let book = if cb_len == 0 && num_symbols == 0 {
@@ -561,29 +541,24 @@ pub(crate) fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView>
         CanonicalCodebook::from_lengths(&lengths).map_err(|e| bad(format!("codebook: {e}")))?
     };
 
-    need(buf, 4)?;
-    let n_chunks = buf.get_u32_le() as usize;
-    let table_bytes = n_chunks.checked_mul(8).ok_or_else(|| bad("chunk table size overflow"))?;
-    need(buf, table_bytes)?;
+    let n_chunks = r.count("chunks", 8)?;
     if n_chunks != num_symbols.div_ceil(config.chunk_symbols()) {
         return Err(bad(format!("chunk count {n_chunks} inconsistent with {num_symbols} symbols")));
     }
-    let chunk_table = pos(buf)..pos(buf) + table_bytes;
-    buf.advance(table_bytes);
+    let chunk_table = r.pos()..r.pos() + 8 * n_chunks;
+    r.skip(8 * n_chunks)?;
 
-    need(buf, 4)?;
-    let n_outliers = buf.get_u32_le() as usize;
+    let n_outliers = r.count("outlier units", 10)?;
     let unit_syms = config.unit_symbols().max(1);
     let mut outliers = SparseOutliers::new();
     let mut last_idx: Option<u64> = None;
     for _ in 0..n_outliers {
-        need(buf, 10)?;
-        let idx = buf.get_u64_le();
+        let idx = r.u64_le()?;
         if last_idx.is_some_and(|l| idx <= l) {
             return Err(bad("outlier units out of order"));
         }
         last_idx = Some(idx);
-        let count = buf.get_u16_le() as usize;
+        let count = usize::from(r.u16_le()?);
         let unit_base = (idx as usize)
             .checked_mul(unit_syms)
             .filter(|&b| b < num_symbols)
@@ -594,24 +569,22 @@ pub(crate) fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView>
                 "outlier unit {idx} stores {count} symbols, unit holds {expected}"
             )));
         }
-        need(buf, count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?)?;
-        let syms: Vec<u16> = (0..count).map(|_| buf.get_u16_le()).collect();
+        let syms: Vec<u16> =
+            r.take(2 * count)?.chunks_exact(2).map(|p| u16::from_le_bytes([p[0], p[1]])).collect();
         outliers.push(idx, &syms);
     }
 
-    need(buf, 8)?;
-    let total_bits = buf.get_u64_le();
+    let total_bits = r.u64_le()?;
 
     // Version 2: chunk CRC table + header CRC, then the payload.
     let mut crc_table = None;
     if version == 2 {
         let crc_bytes =
             n_chunks.checked_mul(4).ok_or_else(|| bad("checksum table size overflow"))?;
-        need(buf, crc_bytes + 4)?;
-        crc_table = Some(pos(buf)..pos(buf) + crc_bytes);
-        buf.advance(crc_bytes);
-        let header_end = pos(buf);
-        let stored = buf.get_u32_le();
+        crc_table = Some(r.pos()..r.pos() + crc_bytes);
+        r.skip(crc_bytes)?;
+        let header_end = r.pos();
+        let stored = r.u32_le()?;
         if verify != Verify::None {
             let got = crc32(&archive[..header_end]);
             if got != stored {
@@ -637,8 +610,37 @@ pub(crate) fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView>
         outliers,
         total_bits,
         crc_table,
-        payload_start: pos(buf),
+        payload_start: r.pos(),
     })
+}
+
+/// The fixed 16 bytes every RSH1/RSH2 header starts with, read but not
+/// validated: the field offsets [`parse_header`] and [`chunk_count`] share.
+struct Prefix {
+    version: u8,
+    symbol_bytes: u8,
+    magnitude: u32,
+    reduction: u32,
+    flags: u8,
+    num_symbols: u64,
+}
+
+impl Prefix {
+    fn read(r: &mut Reader<'_>) -> Result<Self> {
+        let version = match r.take(4)? {
+            m if m == MAGIC_V1 => 1,
+            m if m == MAGIC_V2 => 2,
+            _ => return Err(bad("bad magic")),
+        };
+        Ok(Prefix {
+            version,
+            symbol_bytes: r.u8()?,
+            magnitude: u32::from(r.u8()?),
+            reduction: u32::from(r.u8()?),
+            flags: r.u8()?,
+            num_symbols: r.u64_le()?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -650,14 +652,11 @@ pub(crate) fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView>
 /// decoder uses this to map shard-local chunk indices to frame-global
 /// ones without parsing untouched shards.
 pub fn chunk_count(archive: &[u8]) -> Result<usize> {
-    if archive.len() < 20 || (&archive[..4] != MAGIC_V1 && &archive[..4] != MAGIC_V2) {
-        return Err(bad("bad magic"));
-    }
-    let cb_len = u32::from_le_bytes(archive[16..20].try_into().unwrap()) as usize;
-    let at = 20usize.checked_add(cb_len).ok_or_else(|| bad("codebook size overflow"))?;
-    let end = at.checked_add(4).filter(|&e| e <= archive.len());
-    let end = end.ok_or_else(|| bad("truncated: need chunk count"))?;
-    Ok(u32::from_le_bytes(archive[at..end].try_into().unwrap()) as usize)
+    let mut r = Reader::new(archive);
+    Prefix::read(&mut r)?;
+    let cb_len = r.u32_le()? as usize;
+    r.skip(cb_len)?;
+    Ok(r.u32_le()? as usize)
 }
 
 /// Load and validate the seek-index trailer; `None` means "no usable

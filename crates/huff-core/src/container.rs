@@ -24,7 +24,7 @@ use crate::integrity::{
     crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section,
     ShardTally, Verify,
 };
-use bytes::{Buf, BufMut, BytesMut};
+use crate::wire::Reader;
 use std::ops::Range;
 
 /// Which container a byte string holds.
@@ -110,28 +110,28 @@ pub fn store_raw(symbols: &[u16], symbol_bytes: u8) -> Result<Vec<u8>> {
     if symbol_bytes != 1 && symbol_bytes != 2 {
         return Err(bad(format!("raw container: symbol_bytes {symbol_bytes}")));
     }
-    let mut payload = Vec::with_capacity(symbols.len() * symbol_bytes as usize);
+    // The payload goes straight after the header; its checksum and the
+    // header's are filled in once it is written.
+    let mut buf = Vec::with_capacity(RAW_HEADER_LEN + symbols.len() * usize::from(symbol_bytes));
+    buf.extend_from_slice(RAW_MAGIC);
+    buf.extend_from_slice(&[RAW_VERSION, symbol_bytes, 0, 0]);
+    buf.extend_from_slice(&(symbols.len() as u64).to_le_bytes());
+    buf.resize(RAW_HEADER_LEN, 0);
     for &s in symbols {
         if symbol_bytes == 1 {
             if s > 0xFF {
                 return Err(HuffError::SymbolOutOfRange { symbol: usize::from(s), codebook: 256 });
             }
-            payload.push(s as u8);
+            buf.push(s as u8);
         } else {
-            payload.extend_from_slice(&s.to_le_bytes());
+            buf.extend_from_slice(&s.to_le_bytes());
         }
     }
-    let mut buf = BytesMut::with_capacity(RAW_HEADER_LEN + payload.len());
-    buf.put_slice(RAW_MAGIC);
-    buf.put_u8(RAW_VERSION);
-    buf.put_u8(symbol_bytes);
-    buf.put_u16_le(0);
-    buf.put_u64_le(symbols.len() as u64);
-    buf.put_u32_le(crc32(&payload));
-    let header_crc = crc32(&buf);
-    buf.put_u32_le(header_crc);
-    buf.put_slice(&payload);
-    Ok(buf.to_vec())
+    let payload_crc = crc32(&buf[RAW_HEADER_LEN..]);
+    buf[16..20].copy_from_slice(&payload_crc.to_le_bytes());
+    let header_crc = crc32(&buf[..20]);
+    buf[20..24].copy_from_slice(&header_crc.to_le_bytes());
+    Ok(buf)
 }
 
 /// A checksummed `RSHR` header plus the payload bytes actually present.
@@ -149,28 +149,24 @@ struct RawView<'a> {
 impl<'a> RawView<'a> {
     fn parse(bytes: &'a [u8]) -> Result<Self> {
         let bad = |m: &str| bad(format!("raw container: {m}"));
-        if bytes.len() < RAW_HEADER_LEN {
-            return Err(bad("truncated header"));
-        }
-        let mut buf = &bytes[..RAW_HEADER_LEN];
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != RAW_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take(4)? != RAW_MAGIC {
             return Err(bad("bad magic"));
         }
-        let version = buf.get_u8();
+        let version = r.u8()?;
         if version != RAW_VERSION {
             return Err(bad(&format!("unsupported version {version}")));
         }
-        let symbol_bytes = buf.get_u8();
+        let symbol_bytes = r.u8()?;
         if symbol_bytes != 1 && symbol_bytes != 2 {
             return Err(bad(&format!("symbol_bytes {symbol_bytes}")));
         }
-        let _pad = buf.get_u16_le();
-        let num_symbols = buf.get_u64_le();
-        let stored_crc = buf.get_u32_le();
-        let stored = buf.get_u32_le();
-        let got = crc32(&bytes[..RAW_HEADER_LEN - 4]);
+        r.skip(2)?;
+        let num_symbols = r.u64_le()?;
+        let stored_crc = r.u32_le()?;
+        let header_end = r.pos();
+        let stored = r.u32_le()?;
+        let got = crc32(&bytes[..header_end]);
         if got != stored {
             return Err(HuffError::ChecksumMismatch {
                 section: Section::Header,
@@ -184,8 +180,7 @@ impl<'a> RawView<'a> {
         let want = num_symbols
             .checked_mul(usize::from(symbol_bytes))
             .ok_or_else(|| bad("count exceeds address space"))?;
-        let payload = &bytes[RAW_HEADER_LEN..];
-        let payload = &payload[..payload.len().min(want)];
+        let payload = r.take(r.remaining().min(want))?;
         Ok(RawView { symbol_bytes, num_symbols, want, payload, stored_crc })
     }
 

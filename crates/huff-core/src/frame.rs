@@ -38,7 +38,7 @@ use crate::integrity::{
     crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section,
     ShardTally, Verify,
 };
-use bytes::{Buf, BufMut, BytesMut};
+use crate::wire::{self, Reader};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -122,53 +122,42 @@ pub fn assemble(
         )));
     }
     let body: usize = shards.iter().map(Vec::len).sum();
-    let mut buf = BytesMut::with_capacity(body + 40 + 8 * shards.len());
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(symbol_bytes);
-    buf.put_u16_le(0);
-    buf.put_u64_le(total_symbols);
-    buf.put_u64_le(shard_symbols);
-    buf.put_u32_le(shard_count_u32(shards.len())?);
+    let mut buf = Vec::with_capacity(32 + 8 * shards.len() + body);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&[VERSION, symbol_bytes, 0, 0]);
+    buf.extend_from_slice(&total_symbols.to_le_bytes());
+    buf.extend_from_slice(&shard_symbols.to_le_bytes());
+    buf.extend_from_slice(&shard_count_u32(shards.len())?.to_le_bytes());
     for s in shards {
-        buf.put_u64_le(s.len() as u64);
+        buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
     }
     let header_crc = crc32(&buf);
-    buf.put_u32_le(header_crc);
+    buf.extend_from_slice(&header_crc.to_le_bytes());
     for s in shards {
-        buf.put_slice(s);
+        buf.extend_from_slice(s);
     }
-    Ok(buf.to_vec())
+    Ok(buf)
 }
 
 /// Parse and (unless `verify` is [`Verify::None`]) checksum the frame
 /// header. Header damage is fatal: without the shard table nothing inside
 /// the frame can be located. So is a shard body that is itself a frame or
-/// a raw container.
+/// a raw container, and a shard whose symbol range its declared body
+/// could not encode.
 pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
-    let mut buf = bytes;
-    let need = |buf: &[u8], n: usize| -> Result<()> {
-        if buf.len() < n {
-            Err(bad(format!("truncated frame: need {n} more bytes")))
-        } else {
-            Ok(())
-        }
-    };
-    need(buf, 28)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.take(4)? != MAGIC {
         return Err(bad("bad frame magic"));
     }
-    let version = buf.get_u8();
+    let version = r.u8()?;
     if version != VERSION {
         return Err(bad(format!("unsupported frame version {version}")));
     }
-    let symbol_bytes = buf.get_u8();
-    let _pad = buf.get_u16_le();
-    let total_symbols = buf.get_u64_le();
-    let shard_symbols = buf.get_u64_le();
-    let num_shards = buf.get_u32_le() as usize;
+    let symbol_bytes = r.u8()?;
+    r.skip(2)?;
+    let total_symbols = r.u64_le()?;
+    let shard_symbols = r.u64_le()?;
+    let num_shards = r.count("shards", 8)?;
     if shard_symbols == 0 || (num_shards == 0 && total_symbols != 0) {
         return Err(bad("empty frame geometry"));
     }
@@ -178,14 +167,9 @@ pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
              {shard_symbols}/shard"
         )));
     }
-    let table = num_shards.checked_mul(8).ok_or_else(|| bad("shard table size overflow"))?;
-    need(buf, table + 4)?;
-    let mut lens = Vec::with_capacity(num_shards);
-    for _ in 0..num_shards {
-        lens.push(buf.get_u64_le());
-    }
-    let header_end = bytes.len() - buf.remaining();
-    let stored_crc = buf.get_u32_le();
+    let lens = (0..num_shards).map(|_| r.u64_le()).collect::<Result<Vec<_>>>()?;
+    let header_end = r.pos();
+    let stored_crc = r.u32_le()?;
     if verify != Verify::None {
         let got = crc32(&bytes[..header_end]);
         if got != stored_crc {
@@ -197,9 +181,23 @@ pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
             });
         }
     }
-    let mut shard_ranges = Vec::with_capacity(num_shards);
-    let mut off = bytes.len() - buf.remaining();
+    let mut info = FrameInfo {
+        version,
+        symbol_bytes,
+        total_symbols,
+        shard_symbols,
+        shard_ranges: Vec::with_capacity(num_shards),
+    };
+    let mut off = r.pos();
     for (i, &l) in lens.iter().enumerate() {
+        // A coded symbol costs at least one bit (a lone symbol's code is
+        // one bit long) and a stored outlier sixteen, so a body of `l`
+        // bytes holds at most 8·l symbols. A range past that is a forged
+        // count, not damage to recover from.
+        let syms = info.shard_symbol_range(i)?.len() as u64;
+        if !wire::fits(syms, 1, l.saturating_mul(8)) {
+            return Err(bad(format!("shard {i} declares {syms} symbols in a {l}-byte body")));
+        }
         let len: usize = l.try_into().map_err(|_| bad("shard length exceeds address space"))?;
         let end = off.checked_add(len).ok_or_else(|| bad("shard table overflows frame"))?;
         // A shard body is a bare RSH1/RSH2 archive. A body that is itself
@@ -214,10 +212,10 @@ pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
         if let Some(what) = nested {
             return Err(bad(format!("shard {i} body is {what}, not an RSH1/RSH2 archive")));
         }
-        shard_ranges.push(off..end);
+        info.shard_ranges.push(off..end);
         off = end;
     }
-    Ok(FrameInfo { version, symbol_bytes, total_symbols, shard_symbols, shard_ranges })
+    Ok(info)
 }
 
 /// Decompress a frame under an explicit verification and recovery policy.
@@ -254,7 +252,19 @@ pub fn decompress_with(bytes: &[u8], opts: &DecompressOptions) -> Result<Recover
         })
         .collect();
 
-    let mut symbols = Vec::with_capacity(info.total_symbols as usize);
+    // The output is sized only once every shard has answered: a strict
+    // error returns before anything is allocated for the declared symbol
+    // count, and the buffer holds what the shards decoded plus the
+    // best-effort fills.
+    let mut len = 0;
+    for (i, res) in results.iter().enumerate() {
+        len += match res {
+            Ok(rec) => rec.symbols.len(),
+            Err(_) if best_effort => info.shard_symbol_range(i)?.len(),
+            Err(e) => return Err(e.clone()),
+        };
+    }
+    let mut symbols = Vec::with_capacity(len);
     let mut merged = ShardMerge::default();
     for (i, res) in results.into_iter().enumerate() {
         let range = info.shard_symbol_range(i)?;
@@ -264,11 +274,10 @@ pub fn decompress_with(bytes: &[u8], opts: &DecompressOptions) -> Result<Recover
                 merged.readable(chunk_base, range.start, &rec.report);
                 symbols.extend_from_slice(&rec.symbols);
             }
-            Err(_) if best_effort => {
+            Err(_) => {
                 merged.unreadable(chunk_base, range.clone());
                 symbols.resize(symbols.len() + range.len(), opts.sentinel);
             }
-            Err(e) => return Err(e),
         }
     }
     Ok(Recovered {

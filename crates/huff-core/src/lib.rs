@@ -67,6 +67,7 @@ pub mod sparse;
 pub mod testing;
 pub mod tree;
 pub mod tune;
+pub mod wire;
 
 pub use batch::{compress_batched, BatchOptions, BatchReport};
 pub use codebook::{parallel as build_codebook, CanonicalCodebook};

@@ -34,7 +34,7 @@
 
 use crate::error::{HuffError, Result};
 use crate::integrity::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::Reader;
 use std::ops::Range;
 
 /// Magic prefix of the serialized trailer.
@@ -223,23 +223,20 @@ impl ChunkIndex {
     /// lows u64 × low_words | high u64 × high_words | samples u64 × num_samples
     /// index_crc u32        CRC32 of the trailer up to this field
     /// ```
-    pub fn write_to(&self, buf: &mut BytesMut) -> Result<()> {
+    pub fn write_to(&self, buf: &mut Vec<u8>) -> Result<()> {
         let start = buf.len();
-        buf.put_slice(INDEX_MAGIC);
-        buf.put_u8(INDEX_VERSION);
-        buf.put_u8(self.select_sample as u8);
-        buf.put_u8(self.low_bits as u8);
-        buf.put_u8(0);
-        buf.put_u64_le(self.num_chunks);
-        buf.put_u64_le(self.total_bits);
-        buf.put_u32_le(words_u32(self.lows.len(), "low")?);
-        buf.put_u32_le(words_u32(self.high.len(), "high")?);
-        buf.put_u32_le(words_u32(self.samples.len(), "sample")?);
+        buf.extend_from_slice(INDEX_MAGIC);
+        buf.extend_from_slice(&[INDEX_VERSION, self.select_sample as u8, self.low_bits as u8, 0]);
+        buf.extend_from_slice(&self.num_chunks.to_le_bytes());
+        buf.extend_from_slice(&self.total_bits.to_le_bytes());
+        buf.extend_from_slice(&words_u32(self.lows.len(), "low")?.to_le_bytes());
+        buf.extend_from_slice(&words_u32(self.high.len(), "high")?.to_le_bytes());
+        buf.extend_from_slice(&words_u32(self.samples.len(), "sample")?.to_le_bytes());
         for &w in self.lows.iter().chain(&self.high).chain(&self.samples) {
-            buf.put_u64_le(w);
+            buf.extend_from_slice(&w.to_le_bytes());
         }
         let crc = crc32(&buf[start..]);
-        buf.put_u32_le(crc);
+        buf.extend_from_slice(&crc.to_le_bytes());
         Ok(())
     }
 
@@ -248,30 +245,26 @@ impl ChunkIndex {
     /// truncation, CRC failure, or internally inconsistent geometry.
     /// Callers fall back to the chunk-table prefix scan (fail-open).
     pub fn parse(trailer: &[u8]) -> Option<Self> {
-        if trailer.len() < FIXED_HEAD + TAIL_CRC || &trailer[..4] != INDEX_MAGIC {
+        let mut r = Reader::new(trailer);
+        if r.take(4).ok()? != INDEX_MAGIC {
             return None;
         }
-        let mut buf = Bytes::copy_from_slice(&trailer[4..FIXED_HEAD]);
-        let version = buf.get_u8();
-        let select_sample = u64::from(buf.get_u8());
-        let low_bits = u32::from(buf.get_u8());
-        let _pad = buf.get_u8();
-        let num_chunks = buf.get_u64_le();
-        let total_bits = buf.get_u64_le();
-        let low_words = buf.get_u32_le() as usize;
-        let high_words = buf.get_u32_le() as usize;
-        let num_samples = buf.get_u32_le() as usize;
+        let version = r.u8().ok()?;
+        let select_sample = u64::from(r.u8().ok()?);
+        let low_bits = u32::from(r.u8().ok()?);
+        r.skip(1).ok()?;
+        let num_chunks = r.u64_le().ok()?;
+        let total_bits = r.u64_le().ok()?;
+        let low_words = r.count("low words", 8).ok()?;
+        let high_words = r.count("high words", 8).ok()?;
+        let num_samples = r.count("select samples", 8).ok()?;
         if version != INDEX_VERSION || select_sample == 0 || low_bits > 63 {
             return None;
         }
 
-        let body = FIXED_HEAD + 8 * (low_words + high_words + num_samples);
-        let need = body + TAIL_CRC;
-        if trailer.len() < need {
-            return None;
-        }
-        let stored = u32::from_le_bytes(trailer[body..need].try_into().ok()?);
-        if crc32(&trailer[..body]) != stored {
+        let mut words = Reader::new(r.take(8 * (low_words + high_words + num_samples)).ok()?);
+        let body = r.pos();
+        if crc32(&trailer[..body]) != r.u32_le().ok()? {
             return None;
         }
 
@@ -284,12 +277,9 @@ impl ChunkIndex {
             return None;
         }
 
-        let mut words = trailer[FIXED_HEAD..body]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()));
-        let lows: Vec<u64> = words.by_ref().take(low_words).collect();
-        let high: Vec<u64> = words.by_ref().take(high_words).collect();
-        let samples: Vec<u64> = words.collect();
+        let mut read = |n: usize| (0..n).map(|_| words.u64_le()).collect::<Result<Vec<u64>>>();
+        let (lows, high, samples) =
+            (read(low_words).ok()?, read(high_words).ok()?, read(num_samples).ok()?);
         // Every sample must point inside the high vector, and the final
         // set bit (the sentinel) must exist; otherwise lookups would read
         // out of bounds.
@@ -396,12 +386,12 @@ mod tests {
         let lens: Vec<u64> = (0..200).map(|i| (i * 37) % 9000).collect();
         let total = lens.iter().sum();
         let idx = ChunkIndex::build(&lens, total).unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         idx.write_to(&mut buf).unwrap();
         assert_eq!(buf.len(), idx.byte_len());
         assert_eq!(ChunkIndex::parse(&buf).unwrap(), idx);
         // Trailing junk beyond the encoded length is tolerated.
-        let mut longer = buf.to_vec();
+        let mut longer = buf.clone();
         longer.extend_from_slice(b"????");
         assert_eq!(ChunkIndex::parse(&longer).unwrap(), idx);
     }
@@ -410,9 +400,8 @@ mod tests {
     fn parse_is_fail_open_on_damage() {
         let lens = [4000u64; 65];
         let idx = ChunkIndex::build(&lens, 4000 * 65).unwrap();
-        let mut buf = BytesMut::new();
-        idx.write_to(&mut buf).unwrap();
-        let clean = buf.to_vec();
+        let mut clean = Vec::new();
+        idx.write_to(&mut clean).unwrap();
         assert!(ChunkIndex::parse(&clean).is_some());
         for pos in [0, 4, 9, FIXED_HEAD + 3, clean.len() - 2] {
             let mut bad = clean.clone();

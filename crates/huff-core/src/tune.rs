@@ -67,7 +67,7 @@ use crate::error::Result;
 use crate::histogram;
 use crate::integrity::crc32;
 use crate::plan::KernelPlan;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::Reader;
 use gpu_sim::cost;
 use gpu_sim::{Access, DeviceSpec, KernelRecord, StreamSchedule, Traffic};
 use std::collections::BTreeMap;
@@ -764,101 +764,92 @@ impl TuneCache {
 }
 
 fn render_cache(entries: &BTreeMap<CacheKey, Decision>) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(CACHE_MAGIC);
-    buf.put_u8(CACHE_VERSION);
-    buf.put_slice(&[0u8; 3]);
-    buf.put_u32_le(entries.len() as u32);
+    let mut buf = CACHE_MAGIC.to_vec();
+    buf.extend_from_slice(&[CACHE_VERSION, 0, 0, 0]);
+    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     let header_crc = crc32(&buf);
-    buf.put_u32_le(header_crc);
+    buf.extend_from_slice(&header_crc.to_le_bytes());
     for ((device, sig), d) in entries {
-        let mut e = BytesMut::new();
-        let name = device.as_bytes();
-        e.put_u8(name.len().min(255) as u8);
-        e.put_slice(&name[..name.len().min(255)]);
-        e.put_u32_le(sig.coded_symbols);
-        e.put_u32_le(sig.avg_centibits);
-        e.put_u32_le(sig.max_bits);
-        e.put_u32_le(sig.entropy_centibits);
-        e.put_u32_le(sig.ratio_permille);
-        e.put_u32_le(sig.size_class);
-        e.put_u8(sig.symbol_bytes);
-        e.put_u8(d.dispatch.code());
-        e.put_u8(d.reduction.min(255) as u8);
-        e.put_u16_le(d.shards.min(65_535) as u16);
-        e.put_u8(d.streams.min(255) as u8);
-        e.put_u8(decoder_code(d.decoder));
-        e.put_u64_le(d.modeled_nanos);
-        e.put_u8(d.plan.code());
-        let entry_crc = crc32(&e);
-        buf.put_u16_le(e.len() as u16);
-        buf.put_slice(&e);
-        buf.put_u32_le(entry_crc);
+        let name = &device.as_bytes()[..device.len().min(255)];
+        let mut e = vec![name.len() as u8];
+        e.extend_from_slice(name);
+        for v in [
+            sig.coded_symbols,
+            sig.avg_centibits,
+            sig.max_bits,
+            sig.entropy_centibits,
+            sig.ratio_permille,
+            sig.size_class,
+        ] {
+            e.extend_from_slice(&v.to_le_bytes());
+        }
+        e.extend_from_slice(&[sig.symbol_bytes, d.dispatch.code(), d.reduction.min(255) as u8]);
+        e.extend_from_slice(&(d.shards.min(65_535) as u16).to_le_bytes());
+        e.extend_from_slice(&[d.streams.min(255) as u8, decoder_code(d.decoder)]);
+        e.extend_from_slice(&d.modeled_nanos.to_le_bytes());
+        e.push(d.plan.code());
+        buf.extend_from_slice(&(e.len() as u16).to_le_bytes());
+        buf.extend_from_slice(&e);
+        buf.extend_from_slice(&crc32(&e).to_le_bytes());
     }
-    buf.to_vec()
+    buf
 }
 
 fn parse_cache(bytes: &[u8]) -> BTreeMap<CacheKey, Decision> {
     let mut out = BTreeMap::new();
-    // Header: magic, version, pad, count, CRC over everything before it.
-    if bytes.len() < 16 || &bytes[..4] != CACHE_MAGIC || bytes[4] != CACHE_VERSION {
-        return out;
-    }
-    let stored = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    if crc32(&bytes[..12]) != stored {
-        return out;
-    }
-    let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let mut buf = Bytes::copy_from_slice(&bytes[16..]);
+    let mut r = Reader::new(bytes);
+    let Some(count) = cache_count(&mut r, bytes) else { return out };
+    // The count only bounds the loop: a short tail ends it, and each entry
+    // stands or falls on its own checksum.
     for _ in 0..count {
-        if buf.remaining() < 2 {
-            break;
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len + 4 {
-            break;
-        }
-        let entry = buf.copy_to_bytes(len);
-        let stored = buf.get_u32_le();
-        if crc32(&entry) != stored {
+        let Ok(len) = r.u16_le() else { break };
+        let (Ok(entry), Ok(stored)) = (r.take(usize::from(len)), r.u32_le()) else { break };
+        if crc32(entry) != stored {
             continue; // corrupt entry: skip, keep reading
         }
-        if let Some((key, decision)) = parse_entry(&entry) {
+        if let Some((key, decision)) = parse_entry(entry) {
             out.insert(key, decision);
         }
     }
     out
 }
 
+/// The entry count of a cache whose header is intact: magic, version,
+/// pad, count, then a CRC over everything before it.
+fn cache_count(r: &mut Reader<'_>, bytes: &[u8]) -> Option<u32> {
+    if r.take(4).ok()? != CACHE_MAGIC || r.u8().ok()? != CACHE_VERSION {
+        return None;
+    }
+    r.skip(3).ok()?;
+    let count = r.u32_le().ok()?;
+    let header_end = r.pos();
+    (r.u32_le().ok()? == crc32(&bytes[..header_end])).then_some(count)
+}
+
 fn parse_entry(entry: &[u8]) -> Option<(CacheKey, Decision)> {
-    let mut b = Bytes::copy_from_slice(entry);
-    if b.remaining() < 1 {
-        return None;
-    }
-    let name_len = b.get_u8() as usize;
-    // Entries written before the plan byte existed come up short here and
-    // are skipped (fail-open: the signature just re-models on next use).
-    if b.remaining() < name_len + 6 * 4 + 1 + 1 + 1 + 2 + 1 + 1 + 8 + 1 {
-        return None;
-    }
-    let name = String::from_utf8(b.copy_to_bytes(name_len).to_vec()).ok()?;
+    let mut b = Reader::new(entry);
+    let name_len = usize::from(b.u8().ok()?);
+    let name = String::from_utf8(b.take(name_len).ok()?.to_vec()).ok()?;
     let sig = Signature {
-        coded_symbols: b.get_u32_le(),
-        avg_centibits: b.get_u32_le(),
-        max_bits: b.get_u32_le(),
-        entropy_centibits: b.get_u32_le(),
-        ratio_permille: b.get_u32_le(),
-        size_class: b.get_u32_le(),
-        symbol_bytes: b.get_u8(),
+        coded_symbols: b.u32_le().ok()?,
+        avg_centibits: b.u32_le().ok()?,
+        max_bits: b.u32_le().ok()?,
+        entropy_centibits: b.u32_le().ok()?,
+        ratio_permille: b.u32_le().ok()?,
+        size_class: b.u32_le().ok()?,
+        symbol_bytes: b.u8().ok()?,
     };
+    // Entries written before the plan byte existed come up short at the
+    // last read and are skipped (fail-open: the signature just re-models
+    // on next use).
     let decision = Decision {
-        dispatch: Dispatch::from_code(b.get_u8())?,
-        reduction: u32::from(b.get_u8()),
-        shards: u32::from(b.get_u16_le()),
-        streams: u32::from(b.get_u8()),
-        decoder: decoder_from_code(b.get_u8())?,
-        modeled_nanos: b.get_u64_le(),
-        plan: KernelPlan::from_code(b.get_u8())?,
+        dispatch: Dispatch::from_code(b.u8().ok()?)?,
+        reduction: u32::from(b.u8().ok()?),
+        shards: u32::from(b.u16_le().ok()?),
+        streams: u32::from(b.u8().ok()?),
+        decoder: decoder_from_code(b.u8().ok()?)?,
+        modeled_nanos: b.u64_le().ok()?,
+        plan: KernelPlan::from_code(b.u8().ok()?)?,
     };
     Some(((name, sig), decision))
 }

@@ -15,7 +15,7 @@ use huff_core::container;
 use huff_core::frame;
 use huff_core::integrity::{crc32, DecompressOptions, Section, Verify};
 use huff_core::serve::{Engine, EngineConfig, Outcome, Request};
-use huff_core::DecoderKind;
+use huff_core::{DecoderKind, HuffError};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -162,4 +162,27 @@ fn hostile_bytes_never_panic() {
             }
         }
     }
+}
+
+#[test]
+fn frame_declaring_more_symbols_than_its_shard_can_hold_is_refused() {
+    // One real 64-symbol shard under a frame header that declares 2^38
+    // symbols: a few hundred bytes asking for a 512 GiB output. A coded
+    // symbol costs at least one bit, so the shard's body cannot hold the
+    // range.
+    let shard = archive::compress(&symbols(64, 64), &CompressOptions::new(64)).unwrap();
+    let bomb = frame::assemble(&[shard], 1 << 38, 1 << 38, 2).unwrap();
+    assert!(bomb.len() < 300, "{} bytes", bomb.len());
+    assert!(matches!(frame::parse(&bomb, Verify::Full), Err(HuffError::BadArchive(_))));
+    for opts in [DecompressOptions::default(), DecompressOptions::best_effort()] {
+        let got = archive::decompress_with(&bomb, &opts);
+        assert!(matches!(got, Err(HuffError::BadArchive(_))), "{:?}: {got:?}", opts.mode);
+        assert!(archive::decode_range(&bomb, 0..128, &opts).is_err());
+    }
+    assert!(archive::verify(&bomb).is_err());
+
+    let mut engine = Engine::new(EngineConfig::new(64));
+    let done = engine.submit(Request::decompress("bomb", 0.0, bomb)).unwrap();
+    assert!(matches!(done.outcome, Outcome::Failed { .. }), "{:?}", done.outcome);
+    assert!(done.response.is_none());
 }

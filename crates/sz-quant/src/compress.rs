@@ -15,10 +15,10 @@
 use crate::field::Field3;
 use crate::predictor::lorenzo3;
 use crate::quantizer::{Quantized, Quantizer};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use huff_core::archive;
 use huff_core::encode::BreakingStrategy;
 use huff_core::error::{HuffError, Result};
+use huff_core::wire::Reader;
 
 const MAGIC: &[u8; 4] = b"SZQ1";
 
@@ -78,22 +78,21 @@ pub fn compress(
     let coded = archive::compress(&codes, &opts)?;
 
     // Container: header + outliers + Huffman archive.
-    let mut buf = BytesMut::with_capacity(coded.len() + outliers.len() * 12 + 64);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(field.nx as u32);
-    buf.put_u32_le(field.ny as u32);
-    buf.put_u32_le(field.nz as u32);
-    buf.put_f32_le(error_bound);
-    buf.put_u32_le(num_bins as u32);
-    buf.put_u32_le(outliers.len() as u32);
-    for &(i, v) in &outliers {
-        buf.put_u64_le(i);
-        buf.put_f32_le(v);
+    let mut out = Vec::with_capacity(36 + outliers.len() * 12 + coded.len());
+    out.extend_from_slice(MAGIC);
+    for v in [field.nx as u32, field.ny as u32, field.nz as u32] {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    buf.put_u64_le(coded.len() as u64);
-    buf.put_slice(&coded);
+    out.extend_from_slice(&error_bound.to_le_bytes());
+    out.extend_from_slice(&(num_bins as u32).to_le_bytes());
+    out.extend_from_slice(&(outliers.len() as u32).to_le_bytes());
+    for &(i, v) in &outliers {
+        out.extend_from_slice(&i.to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out.extend_from_slice(&(coded.len() as u64).to_le_bytes());
+    out.extend_from_slice(&coded);
 
-    let out = buf.to_vec();
     let stats = CompressStats {
         unpredictable: outliers.len(),
         total: n,
@@ -106,27 +105,18 @@ pub fn compress(
 /// Decompress an archive back to a field; every sample is within the
 /// stored error bound of the original.
 pub fn decompress(archive_bytes: &[u8]) -> Result<Field3> {
-    let mut buf = Bytes::copy_from_slice(archive_bytes);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(HuffError::BadArchive(format!("sz archive truncated: need {n} bytes")))
-        } else {
-            Ok(())
-        }
-    };
-
-    need(&buf, 4 + 12 + 4 + 4 + 4)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut r = Reader::new(archive_bytes);
+    if r.take(4)? != MAGIC {
         return Err(HuffError::BadArchive("bad sz magic".into()));
     }
-    let nx = buf.get_u32_le() as usize;
-    let ny = buf.get_u32_le() as usize;
-    let nz = buf.get_u32_le() as usize;
-    let error_bound = buf.get_f32_le();
-    let num_bins = buf.get_u32_le() as usize;
-    if nx == 0 || ny == 0 || nz == 0 || !(4..=65536).contains(&num_bins) || error_bound <= 0.0 {
+    let nx = r.u32_le()? as usize;
+    let ny = r.u32_le()? as usize;
+    let nz = r.u32_le()? as usize;
+    let error_bound = r.f32_le()?;
+    let num_bins = r.u32_le()? as usize;
+    // A NaN bound would reach `Quantizer::new`'s assertion.
+    let bad_bound = error_bound.is_nan() || error_bound <= 0.0;
+    if nx == 0 || ny == 0 || nz == 0 || !(4..=65536).contains(&num_bins) || bad_bound {
         return Err(HuffError::BadArchive("bad sz header".into()));
     }
     let n = nx
@@ -134,23 +124,13 @@ pub fn decompress(archive_bytes: &[u8]) -> Result<Field3> {
         .and_then(|v| v.checked_mul(nz))
         .ok_or_else(|| HuffError::BadArchive("field extents overflow".into()))?;
 
-    let n_outliers = {
-        need(&buf, 4)?;
-        buf.get_u32_le() as usize
-    };
-    need(&buf, n_outliers * 12)?;
-    let mut outliers = Vec::with_capacity(n_outliers);
-    for _ in 0..n_outliers {
-        let i = buf.get_u64_le();
-        let v = buf.get_f32_le();
-        outliers.push((i, v));
-    }
+    let n_outliers = r.count("sz outliers", 12)?;
+    let outliers =
+        (0..n_outliers).map(|_| Ok((r.u64_le()?, r.f32_le()?))).collect::<Result<Vec<_>>>()?;
 
-    need(&buf, 8)?;
-    let coded_len = buf.get_u64_le() as usize;
-    need(&buf, coded_len)?;
-    let coded = buf.copy_to_bytes(coded_len);
-    let codes = archive::decompress(&coded)?;
+    let coded_len = usize::try_from(r.u64_le()?)
+        .map_err(|_| HuffError::BadArchive("sz coded length exceeds address space".into()))?;
+    let codes = archive::decompress(r.take(coded_len)?)?;
     if codes.len() != n {
         return Err(HuffError::BadArchive(format!(
             "code count {} does not match field size {n}",
