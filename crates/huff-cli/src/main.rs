@@ -193,10 +193,12 @@ fall back to a chunk-table prefix scan, bit-identically. Without [output] the
 bytes stream to stdout and all diagnostics go to stderr. Exit codes mirror
 decompress (4 = best-effort recovered with losses inside the range).
 
---decoder selects the payload decoder backend (default chunked): serial is the
-single-thread baseline, chunked decodes one chunk per block bit-serially, lut
-adds multi-bit LUT probes with subchunk gap-array synchronization. All three
-are bit-exact; with --trace the modeled kernel times differ (see DESIGN.md).
+--decoder selects the modeled decoder kernels and the backend label a decode is
+counted under (default chunked): serial models one bit-serial device thread,
+chunked one block per chunk decoding bit-serially, lut a subchunk gap-array
+sync kernel plus multi-bit LUT probes. The host decodes every backend with the
+same routine, so the output is identical; with --trace the modeled kernel
+times differ (see DESIGN.md).
 
 serve runs the fault-tolerant serving engine behind a minimal HTTP/1.1 listener
 (one request per connection; see FORMAT.md §8): POST /compress and

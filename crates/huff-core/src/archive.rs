@@ -378,19 +378,21 @@ pub fn deserialize_with(archive: &[u8], opts: &DecompressOptions) -> Result<Pars
     if !best_effort && avail < payload_bytes {
         return Err(bad(format!("truncated: need {payload_bytes} more bytes")));
     }
-    let mut bytes = archive[hdr.payload_start..hdr.payload_start + avail].to_vec();
-    let truncated = avail < payload_bytes;
-    if truncated {
-        bytes.resize(payload_bytes, 0);
-    }
+    // Only the bytes present: the chunks past them are damaged (strict
+    // mode rejected truncation above), and the decoder reads no further
+    // than the bytes hold.
+    let bytes = archive[hdr.payload_start..hdr.payload_start + avail].to_vec();
 
     // Per-chunk verification.
+    let check_crc = hdr.version == 2 && opts.verify == Verify::Full;
     let mut chunk_damage = vec![false; n_chunks];
-    if hdr.version == 2 && opts.verify == Verify::Full {
-        for ci in 0..n_chunks {
-            let span = chunk_byte_span(chunk_bit_offsets[ci], chunk_bit_lens[ci]);
-            let (expected, got) = (hdr.chunk_crc(archive, ci), crc32(&bytes[span.clone()]));
-            if span.end > avail || got != expected {
+    for ci in 0..n_chunks {
+        let span = chunk_byte_span(chunk_bit_offsets[ci], chunk_bit_lens[ci]);
+        if span.end > avail {
+            chunk_damage[ci] = true;
+        } else if check_crc {
+            let (expected, got) = (hdr.chunk_crc(archive, ci), crc32(&bytes[span]));
+            if got != expected {
                 if !best_effort {
                     return Err(HuffError::ChecksumMismatch {
                         section: Section::Payload,
@@ -399,15 +401,6 @@ pub fn deserialize_with(archive: &[u8], opts: &DecompressOptions) -> Result<Pars
                         got,
                     });
                 }
-                chunk_damage[ci] = true;
-            }
-        }
-    } else if truncated {
-        // Best-effort without chunk checksums: anything touching the
-        // missing tail is damaged.
-        for ci in 0..n_chunks {
-            let span = chunk_byte_span(chunk_bit_offsets[ci], chunk_bit_lens[ci]);
-            if span.end > avail {
                 chunk_damage[ci] = true;
             }
         }
@@ -811,8 +804,8 @@ pub fn range_window(
         }
     }
 
-    // Copy the covering payload bytes, zero-padding anything truncated
-    // away (strict mode requires them present).
+    // Copy the covering payload bytes that are present (strict mode
+    // requires all of them); chunks past them are marked damaged below.
     let best_effort = opts.mode == RecoveryMode::BestEffort;
     let avail = hdr.payload_avail(archive);
     let w_start = (offs[0] / 8) as usize;
@@ -822,18 +815,20 @@ pub fn range_window(
     }
     let src_lo = hdr.payload_start + w_start.min(avail);
     let src_hi = hdr.payload_start + w_end.min(avail);
-    let mut bytes = archive[src_lo..src_hi].to_vec();
-    bytes.resize(w_end - w_start, 0);
+    let bytes = archive[src_lo..src_hi].to_vec();
 
-    // Verify only the covering chunks' CRCs.
+    // Verify only the covering chunks' CRCs; the chunks past the bytes
+    // present are damaged.
+    let check_crc = hdr.version == 2 && opts.verify == Verify::Full;
     let mut damage = vec![false; span];
-    if hdr.version == 2 && opts.verify == Verify::Full {
-        for k in 0..span {
-            let ci = c0 + k;
-            let s = chunk_byte_span(offs[k], offs[k + 1] - offs[k]);
-            let local = s.start - w_start..s.end - w_start;
-            let got = crc32(&bytes[local]);
-            if s.end > avail || got != hdr.chunk_crc(archive, ci) {
+    for k in 0..span {
+        let ci = c0 + k;
+        let s = chunk_byte_span(offs[k], offs[k + 1] - offs[k]);
+        if s.end > avail {
+            damage[k] = true;
+        } else if check_crc {
+            let got = crc32(&bytes[s.start - w_start..s.end - w_start]);
+            if got != hdr.chunk_crc(archive, ci) {
                 if !best_effort {
                     return Err(HuffError::ChecksumMismatch {
                         section: Section::Payload,
@@ -842,13 +837,6 @@ pub fn range_window(
                         got,
                     });
                 }
-                damage[k] = true;
-            }
-        }
-    } else if best_effort && w_end > avail {
-        for k in 0..span {
-            let s = chunk_byte_span(offs[k], offs[k + 1] - offs[k]);
-            if s.end > avail {
                 damage[k] = true;
             }
         }

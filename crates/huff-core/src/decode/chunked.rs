@@ -14,6 +14,11 @@
 //! are sentinel-filled (except their breaking units, whose raw symbols
 //! live in the header sidecar and survive payload damage) while intact
 //! chunks decode normally.
+//!
+//! This is the one host decode routine: strict ([`decode`]) and
+//! best-effort, it produces the bytes of every [`super::DecoderKind`].
+//! The kind picks only the kernels the modeled device is charged for
+//! ([`super::gpu`]).
 
 use super::lut::DEFAULT_LUT_BITS;
 use super::multi::MultiLut;
@@ -35,7 +40,7 @@ fn chunk_geometry(stream: &ChunkedStream, ci: usize) -> (usize, u64) {
 /// and `fill` supplies each run of coded symbols between them, in
 /// stream order. One cursor walks the sidecar from the chunk's first
 /// unit, so a chunk costs one binary search, not one per unit.
-pub(crate) fn splice_chunk(
+fn splice_chunk(
     stream: &ChunkedStream,
     ci: usize,
     mut fill: impl FnMut(&mut [u16]) -> Result<()>,
@@ -62,18 +67,24 @@ pub(crate) fn splice_chunk(
     Ok(out)
 }
 
+/// The payload bits a decode may read: the header's `total_bits`, or
+/// fewer when a best-effort read of a truncated archive holds fewer
+/// bytes. Chunks past the bytes are marked damaged and never decoded.
+pub(crate) fn readable_bits(stream: &ChunkedStream) -> u64 {
+    stream.total_bits.min(stream.bytes.len() as u64 * 8)
+}
+
 /// Decode chunk `ci` of `stream` to symbols.
-pub(crate) fn decode_chunk(
-    stream: &ChunkedStream,
-    table: &MultiLut<'_>,
-    ci: usize,
-) -> Result<Vec<u16>> {
-    let mut reader = BitReader::new(&stream.bytes, stream.total_bits);
+fn decode_chunk(stream: &ChunkedStream, table: &MultiLut<'_>, ci: usize) -> Result<Vec<u16>> {
+    let mut reader = BitReader::new(&stream.bytes, readable_bits(stream));
     reader.skip(stream.chunk_bit_offsets[ci])?;
     splice_chunk(stream, ci, |run| table.decode(&mut reader, u64::MAX, run).1)
 }
 
-/// Decode a chunked stream back to symbols.
+/// Decode a chunked stream back to symbols: every chunk in parallel from
+/// its own offset. This is the host decode of every [`DecoderKind`].
+///
+/// [`DecoderKind`]: super::DecoderKind
 pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
     let table = MultiLut::new(book, DEFAULT_LUT_BITS);
     let parts: Vec<Result<Vec<u16>>> = (0..stream.num_chunks())
@@ -91,82 +102,69 @@ pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u1
     Ok(out)
 }
 
-/// Decode a chunked stream on a single thread, chunk by chunk — the
-/// serial baseline the paper's decoders are measured against. Output
-/// is bit-exact with [`decode`] (and with [`crate::decode::lut::decode`]).
-pub(crate) fn decode_serial(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
-    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
-    let mut out = Vec::with_capacity(stream.num_symbols);
-    for ci in 0..stream.num_chunks() {
-        out.extend_from_slice(&decode_chunk(stream, &table, ci)?);
-    }
-    if out.len() != stream.num_symbols {
-        return Err(HuffError::CorruptStream("decoded count disagrees with header"));
-    }
-    Ok(out)
-}
-
-/// (symbols, chunk-local lost ranges, was_damaged) per chunk.
-pub(crate) type ChunkPart = (Vec<u16>, Vec<(usize, usize)>, bool);
-
-/// The best-effort skeleton shared by every decoder backend: decode each
-/// chunk with `decode_one` unless it is marked damaged (or its decode
-/// fails), sentinel-filling what is lost, then stitch the parts and the
-/// damage report together. `parallel` selects rayon fan-out vs. a
-/// single-thread loop (the `serial` decoder).
-pub(crate) fn decode_best_effort_with<F>(
+/// Decode every chunk not marked in `damaged` (and every marked chunk's
+/// breaking units, which live in the header sidecar); sentinel-fill the
+/// rest. Chunks whose decode fails despite a clean checksum — possible
+/// under [`crate::integrity::Verify::None`] — are sentinel-filled too.
+/// Never panics and never returns an error: the report says what was
+/// lost.
+pub(crate) fn decode_best_effort(
     stream: &ChunkedStream,
+    book: &CanonicalCodebook,
     damaged: &[bool],
     sentinel: u16,
-    parallel: bool,
-    decode_one: F,
-) -> (Vec<u16>, RecoveryReport)
-where
-    F: Fn(usize) -> Result<Vec<u16>> + Sync,
-{
-    let n_chunks = stream.num_chunks();
-    let decode_part = |ci: usize| -> ChunkPart {
-        let marked = damaged.get(ci).copied().unwrap_or(false);
-        if !marked {
-            if let Ok(syms) = decode_one(ci) {
-                return (syms, Vec::new(), false);
-            }
-        }
-        let (syms, lost) = fill_damaged_chunk(stream, ci, sentinel);
-        (syms, lost, true)
-    };
-    let parts: Vec<ChunkPart> = if parallel {
-        (0..n_chunks).into_par_iter().map(decode_part).collect()
-    } else {
-        (0..n_chunks).map(decode_part).collect()
-    };
-
-    let chunk_syms = stream.config.chunk_symbols();
-    let mut symbols = Vec::with_capacity(stream.num_symbols);
-    let mut report = RecoveryReport::clean(n_chunks);
-    for (ci, (part, lost, was_damaged)) in parts.into_iter().enumerate() {
-        let base = ci * chunk_syms;
-        if was_damaged {
-            report.damaged_chunks.push(ci);
-            for (s, e) in lost {
-                report.symbols_lost += e - s;
-                // Merge across chunk boundaries when runs are adjacent.
-                match report.damaged_ranges.last_mut() {
-                    Some(last) if last.1 == base + s => last.1 = base + e,
-                    _ => report.damaged_ranges.push((base + s, base + e)),
+) -> (Vec<u16>, RecoveryReport) {
+    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
+    // Each chunk's symbols, plus its chunk-local lost ranges when it was
+    // sentinel-filled.
+    let parts: Vec<_> = (0..stream.num_chunks())
+        .into_par_iter()
+        .map(|ci| {
+            if !damaged.get(ci).copied().unwrap_or(false) {
+                if let Ok(syms) = decode_chunk(stream, &table, ci) {
+                    return (syms, None);
                 }
             }
+            let (syms, lost) = fill_damaged_chunk(stream, ci, sentinel);
+            (syms, Some(lost))
+        })
+        .collect();
+
+    let mut symbols = Vec::with_capacity(stream.num_symbols);
+    let mut report = RecoveryReport::clean(stream.num_chunks());
+    for (ci, (part, lost)) in parts.into_iter().enumerate() {
+        if let Some(lost) = lost {
+            report_damage(&mut report, stream, ci, &lost);
         }
         symbols.extend_from_slice(&part);
     }
     (symbols, report)
 }
 
+/// Add damaged chunk `ci` and its chunk-local sentinel ranges `lost` to
+/// `report`, merging a range that continues the previous chunk's.
+fn report_damage(
+    report: &mut RecoveryReport,
+    stream: &ChunkedStream,
+    ci: usize,
+    lost: &[(usize, usize)],
+) {
+    let base = ci * stream.config.chunk_symbols();
+    report.damaged_chunks.push(ci);
+    for &(s, e) in lost {
+        report.symbols_lost += e - s;
+        match report.damaged_ranges.last_mut() {
+            Some(last) if last.1 == base + s => last.1 = base + e,
+            _ => report.damaged_ranges.push((base + s, base + e)),
+        }
+    }
+}
+
 /// The sentinel fill for one damaged chunk: breaking units come back
 /// exactly from the sidecar, everything else becomes `sentinel`. Returns
 /// the chunk's symbols plus the `[start, end)` *chunk-local* ranges that
 /// were sentinel-filled.
-pub(crate) fn fill_damaged_chunk(
+fn fill_damaged_chunk(
     stream: &ChunkedStream,
     ci: usize,
     sentinel: u16,
@@ -197,53 +195,13 @@ pub(crate) fn fill_damaged_chunk(
     (out, lost)
 }
 
-/// Decode every chunk not marked in `damaged` (and every marked chunk's
-/// breaking units, which live in the header sidecar); sentinel-fill the
-/// rest. Chunks whose decode fails despite a clean checksum — possible
-/// under [`crate::integrity::Verify::None`] — are sentinel-filled too.
-/// Never panics and never returns an error: the report says what was
-/// lost.
-pub(crate) fn decode_best_effort(
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-    damaged: &[bool],
-    sentinel: u16,
-) -> (Vec<u16>, RecoveryReport) {
-    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
-    decode_best_effort_with(stream, damaged, sentinel, true, |ci| decode_chunk(stream, &table, ci))
-}
-
-/// Single-thread variant of [`decode_best_effort`]: same output, same
-/// report, no rayon fan-out.
-pub(crate) fn decode_serial_best_effort(
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
-    damaged: &[bool],
-    sentinel: u16,
-) -> (Vec<u16>, RecoveryReport) {
-    let table = MultiLut::new(book, DEFAULT_LUT_BITS);
-    decode_best_effort_with(stream, damaged, sentinel, false, |ci| decode_chunk(stream, &table, ci))
-}
-
 /// The report best-effort decoding *would* produce for `damaged`,
 /// without decoding anything — used by archive verification.
 pub fn damage_report(stream: &ChunkedStream, damaged: &[bool]) -> RecoveryReport {
-    let chunk_syms = stream.config.chunk_symbols();
     let mut report = RecoveryReport::clean(stream.num_chunks());
-    for ci in 0..stream.num_chunks() {
-        if !damaged.get(ci).copied().unwrap_or(false) {
-            continue;
-        }
-        report.damaged_chunks.push(ci);
+    for ci in (0..stream.num_chunks()).filter(|&ci| damaged.get(ci).copied().unwrap_or(false)) {
         let (_, lost) = fill_damaged_chunk(stream, ci, 0);
-        let base = ci * chunk_syms;
-        for (s, e) in lost {
-            report.symbols_lost += e - s;
-            match report.damaged_ranges.last_mut() {
-                Some(last) if last.1 == base + s => last.1 = base + e,
-                _ => report.damaged_ranges.push((base + s, base + e)),
-            }
-        }
+        report_damage(&mut report, stream, ci, &lost);
     }
     report
 }
@@ -340,11 +298,13 @@ mod tests {
 
     #[test]
     fn serial_decode_matches_parallel() {
+        // The serial kind runs this same routine on the host.
+        use crate::decode::{decode_stream, decode_stream_best_effort, DecoderKind};
         let (stream, book, syms) = stream_and_book(20_000);
-        assert_eq!(decode_serial(&stream, &book).unwrap(), syms);
+        assert_eq!(decode_stream(&stream, &book, DecoderKind::Serial).unwrap(), syms);
         let damaged = vec![false; stream.num_chunks()];
         let par = decode_best_effort(&stream, &book, &damaged, 0xBEEF);
-        let ser = decode_serial_best_effort(&stream, &book, &damaged, 0xBEEF);
+        let ser = decode_stream_best_effort(&stream, &book, &damaged, 0xBEEF, DecoderKind::Serial);
         assert_eq!(par, ser);
     }
 
@@ -361,7 +321,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(decode(&stream, &book).unwrap(), syms);
-        assert_eq!(decode_serial(&stream, &book).unwrap(), syms);
     }
 
     #[test]
@@ -374,7 +333,6 @@ mod tests {
         stream.chunk_bit_lens.push(0);
         stream.chunk_bit_offsets.push(stream.total_bits);
         assert!(matches!(decode(&stream, &book), Err(HuffError::CorruptStream(_))));
-        assert!(matches!(decode_serial(&stream, &book), Err(HuffError::CorruptStream(_))));
     }
 
     #[test]

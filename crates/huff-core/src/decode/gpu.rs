@@ -26,6 +26,7 @@
 
 use super::chunked;
 use super::lut::{self, DecodeLut, GapStats, SubchunkConfig};
+use super::multi::MultiLut;
 use super::DecoderKind;
 use crate::codebook::CanonicalCodebook;
 use crate::encode::ChunkedStream;
@@ -175,111 +176,74 @@ fn account_lut_traffic(
     t.diverge(1.2);
 }
 
-/// How a launch treats damage: strict decoding fails on the first bad
-/// chunk; best-effort sentinel-fills the chunks flagged in `damage`.
-#[derive(Clone, Copy)]
-enum Recovery<'a> {
-    Strict,
-    BestEffort { damage: &'a [bool], sentinel: u16 },
-}
-
-/// The single decode launcher behind [`decode_kind_on_gpu`] and
-/// [`decode_kind_best_effort_on_gpu`]. Both recovery modes launch the
-/// same kernel shapes under their own names and bill the same traffic —
-/// a damaged chunk still costs its payload read (the checksum pass
-/// touched it) and its sentinel writes, and damage is rare enough that
-/// modeling the skipped table probes would be noise. Returns the host
-/// decode (a clean report in strict mode) and the summed modeled kernel
-/// seconds.
+/// Charge the kernels `kind` launches to decode `stream` and return
+/// their summed modeled seconds. Both recovery modes launch the same
+/// kernel shapes under their own names and bill the same traffic — a
+/// damaged chunk still costs its payload read (the checksum pass touched
+/// it) and its sentinel writes, and damage is rare enough that modeling
+/// the skipped table probes would be noise.
+///
+/// The LUT kernels are priced from gap-array counters: the count walk's
+/// when `walk` is set (a strict decode that succeeded), the analytic
+/// estimate otherwise (best-effort, where damaged chunks skip decoding
+/// but the model keeps the undamaged-shape cost, and failed decodes).
 fn launch(
     gpu: &Gpu,
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     kind: DecoderKind,
-    recovery: Recovery<'_>,
-) -> (Result<(Vec<u16>, RecoveryReport)>, f64) {
-    let strict = |r: Result<Vec<u16>>| r.map(|s| (s, RecoveryReport::clean(stream.num_chunks())));
-    let best_effort = matches!(recovery, Recovery::BestEffort { .. });
+    best_effort: bool,
+    walk: bool,
+) -> f64 {
     let grid = decode_launch(stream).grid();
+    let table_bytes = decode_table_bytes(book);
     match kind {
-        DecoderKind::Serial | DecoderKind::Chunked => {
-            let serial = kind == DecoderKind::Serial;
-            let (name, grid) = match (serial, best_effort) {
-                (true, false) => ("dec_serial", GridDim::new(1, 1)),
-                (true, true) => ("dec_serial_best_effort", GridDim::new(1, 1)),
-                (false, false) => ("dec_chunked_canonical", grid),
-                (false, true) => ("dec_chunked_best_effort", grid),
-            };
-            let table_bytes = decode_table_bytes(book);
-            let (out, cost) = gpu.launch_timed(name, grid, |scope| {
-                let out = match recovery {
-                    Recovery::Strict if serial => strict(chunked::decode_serial(stream, book)),
-                    Recovery::Strict => strict(chunked::decode(stream, book)),
-                    Recovery::BestEffort { damage, sentinel } if serial => {
-                        Ok(chunked::decode_serial_best_effort(stream, book, damage, sentinel))
-                    }
-                    Recovery::BestEffort { damage, sentinel } => {
-                        Ok(chunked::decode_best_effort(stream, book, damage, sentinel))
-                    }
-                };
-                if serial {
-                    account_serial_traffic(scope, stream, table_bytes);
-                } else {
-                    account_decode_traffic(scope, stream, table_bytes);
-                }
-                out
-            });
-            (out, cost.total)
+        DecoderKind::Serial => {
+            let name = if best_effort { "dec_serial_best_effort" } else { "dec_serial" };
+            let account =
+                |scope: &mut KernelScope| account_serial_traffic(scope, stream, table_bytes);
+            gpu.launch_timed(name, GridDim::new(1, 1), account).1.total
+        }
+        DecoderKind::Chunked => {
+            let name =
+                if best_effort { "dec_chunked_best_effort" } else { "dec_chunked_canonical" };
+            let account =
+                |scope: &mut KernelScope| account_decode_traffic(scope, stream, table_bytes);
+            gpu.launch_timed(name, grid, account).1.total
         }
         DecoderKind::Lut => {
             // A `dec_subchunk_sync` launch (self-synchronization pass)
-            // followed by the decode + compaction kernel. The host decode
-            // runs once, in the sync launch: strict mode charges it from
-            // the measured gap-array work counters, best-effort from the
-            // analytic estimate (damaged chunks skip decoding, but the
-            // model keeps the undamaged-shape cost).
+            // followed by the decode + compaction kernel.
             let table = DecodeLut::build(book, lut::DEFAULT_LUT_BITS);
             let cfg = SubchunkConfig::default();
-            let ((out, stats), sync_cost) = gpu.launch_timed("dec_subchunk_sync", grid, |scope| {
-                let (out, stats) = match recovery {
-                    Recovery::Strict => match lut::decode_with(stream, book, &table, cfg) {
-                        Ok((symbols, stats)) => (strict(Ok(symbols)), stats),
-                        Err(e) => (Err(e), GapStats::estimate(stream, cfg)),
-                    },
-                    Recovery::BestEffort { damage, sentinel } => (
-                        Ok(lut::decode_best_effort_with(
-                            stream,
-                            book,
-                            table.bits(),
-                            cfg,
-                            damage,
-                            sentinel,
-                        )),
-                        GapStats::estimate(stream, cfg),
-                    ),
-                };
-                account_sync_traffic(scope, stream, &stats, cfg, &table);
-                (out, stats)
+            let walked =
+                walk.then(|| lut::gap_stats(stream, &MultiLut::new(book, table.bits()), cfg));
+            let stats =
+                walked.and_then(Result::ok).unwrap_or_else(|| GapStats::estimate(stream, cfg));
+            let (_, sync) = gpu.launch_timed("dec_subchunk_sync", grid, |scope| {
+                account_sync_traffic(scope, stream, &stats, cfg, &table)
             });
             let name = if best_effort { "dec_lut_gap_best_effort" } else { "dec_lut_gap" };
-            let (_, dec_cost) = gpu.launch_timed(name, grid, |scope| {
-                account_lut_traffic(scope, stream, &stats, &table);
+            let (_, dec) = gpu.launch_timed(name, grid, |scope| {
+                account_lut_traffic(scope, stream, &stats, &table)
             });
-            (out, sync_cost.total + dec_cost.total)
+            sync.total + dec.total
         }
     }
 }
 
 /// Strict decode on the device with the backend selected by `kind`.
-/// Returns the symbols and the modeled kernel time in seconds.
+/// Returns the symbols and the modeled kernel time in seconds. The host
+/// bytes come from [`chunked::decode`] whatever the kind.
 pub fn decode_kind_on_gpu(
     gpu: &Gpu,
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     kind: DecoderKind,
 ) -> Result<(Vec<u16>, f64)> {
-    let (out, secs) = launch(gpu, stream, book, kind, Recovery::Strict);
-    Ok((out?.0, secs))
+    let out = chunked::decode(stream, book);
+    let secs = launch(gpu, stream, book, kind, false, out.is_ok());
+    Ok((out?, secs))
 }
 
 /// Best-effort decode of a (possibly damaged) stream on the device with
@@ -294,10 +258,8 @@ pub fn decode_kind_best_effort_on_gpu(
     sentinel: u16,
     kind: DecoderKind,
 ) -> (Vec<u16>, RecoveryReport, f64) {
-    let recovery = Recovery::BestEffort { damage: chunk_damage, sentinel };
-    let (out, secs) = launch(gpu, stream, book, kind, recovery);
-    let (symbols, report) = out.expect("best-effort host decoding never fails");
-    (symbols, report, secs)
+    let (symbols, report) = chunked::decode_best_effort(stream, book, chunk_damage, sentinel);
+    (symbols, report, launch(gpu, stream, book, kind, true, false))
 }
 
 /// Locate and decode only the chunks covering `range` on the modeled

@@ -5,15 +5,16 @@
 //! * [`canonical`] — treeless canonical decoding with the `First`/`Entry`
 //!   metadata (the reason the codebook is canonized, Section IV-B2);
 //! * [`tree`] — Huffman-tree-walking reference decoder;
-//! * [`chunked`] — parallel per-chunk decoding of
-//!   [`ChunkedStream`]s with breaking-unit
-//!   splicing (plus the single-thread `serial` baseline);
-//! * [`lut`] — the second-generation decoder: multi-bit LUT probes plus
-//!   subchunk gap-array self-synchronization;
+//! * [`chunked`] — per-chunk decoding of [`ChunkedStream`]s with
+//!   breaking-unit splicing: the one host decode routine;
+//! * [`lut`] — the second-generation device decoder: multi-bit LUT probes
+//!   plus subchunk gap-array self-synchronization, with the count walk
+//!   that prices it;
 //! * [`gpu`] — the decoders as device kernels with modeled time.
 //!
-//! All backends are bit-exact with each other; [`DecoderKind`] selects
-//! one, and [`decode_stream`] / [`decode_stream_best_effort`] dispatch.
+//! [`DecoderKind`] picks which kernels the modeled device launches. On
+//! the host every kind produces its bytes with the same routine, so
+//! [`decode_stream`] and [`decode_stream_best_effort`] ignore it.
 
 pub mod canonical;
 pub mod chunked;
@@ -27,20 +28,20 @@ use crate::encode::ChunkedStream;
 use crate::error::{HuffError, Result};
 use crate::integrity::RecoveryReport;
 
-/// Which decoder backend to run. Every backend produces bit-identical
-/// output; they differ in parallelism and modeled device cost. On the
-/// host all three run the same multi-symbol table loop.
+/// Which decoder backend the modeled device runs. Every backend produces
+/// bit-identical output, and on the host all three are the one chunked
+/// routine; they differ in modeled parallelism and device cost, and in
+/// the label the registry counts a decode under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecoderKind {
-    /// Single thread, chunk by chunk — the baseline, modeled as one
-    /// bit-serial device thread.
+    /// The baseline: the whole stream on one bit-serial device thread.
     Serial,
-    /// One worker per chunk, modeled as a block walking its chunk
-    /// bit-serially (the original kernel shape).
+    /// One block per chunk, each walking its chunk bit-serially (the
+    /// original kernel shape).
     #[default]
     Chunked,
-    /// Multi-bit LUT probes plus subchunk gap-array self-synchronization
-    /// within each chunk ([`lut`]).
+    /// A sync kernel settles each chunk's subchunk gap array, then a
+    /// decode kernel probes a multi-bit LUT once per symbol ([`lut`]).
     Lut,
 }
 
@@ -67,41 +68,27 @@ impl DecoderKind {
     }
 }
 
-/// Strict decode of a chunked stream with the selected backend.
+/// Strict decode of a chunked stream. The host ignores `decoder`: every
+/// kind decodes with [`chunked::decode`].
 pub fn decode_stream(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
-    decoder: DecoderKind,
+    _decoder: DecoderKind,
 ) -> Result<Vec<u16>> {
-    // The empty stream decodes to nothing on every backend — and is the
-    // only stream an empty codebook (empty-input archive) can carry.
-    if stream.num_symbols == 0 && stream.num_chunks() == 0 {
-        return Ok(Vec::new());
-    }
-    match decoder {
-        DecoderKind::Serial => chunked::decode_serial(stream, book),
-        DecoderKind::Chunked => chunked::decode(stream, book),
-        DecoderKind::Lut => lut::decode(stream, book),
-    }
+    chunked::decode(stream, book)
 }
 
-/// Best-effort decode of a chunked stream with the selected backend. The
-/// recovery contract (sentinel fill, report) is backend-independent.
+/// Best-effort decode of a chunked stream: damaged chunks are
+/// sentinel-filled and reported. The host ignores `decoder`, as in
+/// [`decode_stream`].
 pub fn decode_stream_best_effort(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     damaged: &[bool],
     sentinel: u16,
-    decoder: DecoderKind,
+    _decoder: DecoderKind,
 ) -> (Vec<u16>, RecoveryReport) {
-    if stream.num_symbols == 0 && stream.num_chunks() == 0 {
-        return (Vec::new(), RecoveryReport::clean(0));
-    }
-    match decoder {
-        DecoderKind::Serial => chunked::decode_serial_best_effort(stream, book, damaged, sentinel),
-        DecoderKind::Chunked => chunked::decode_best_effort(stream, book, damaged, sentinel),
-        DecoderKind::Lut => lut::decode_best_effort(stream, book, damaged, sentinel),
-    }
+    chunked::decode_best_effort(stream, book, damaged, sentinel)
 }
 
 #[cfg(test)]

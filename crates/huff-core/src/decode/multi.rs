@@ -11,12 +11,13 @@
 //! one-symbol probe costs more than the bit walk it replaces, so the
 //! second symbol is what makes the table pay on every input.
 //!
-//! [`MultiLut::decode`] is the loop every host backend runs: the chunked
-//! and serial decoders decode a counted run of symbols between two
-//! breaking units, and the LUT backend's sync walks decode the codewords
-//! that start before a subsequence end (the settled walks are the decode
-//! pass). A probe never yields a symbol past the caller's count or past
-//! the end bit, so unit boundaries, sync exits and the modeled
+//! [`MultiLut::decode`] is the host's one decode loop. The chunked
+//! routine, which produces the bytes of every backend, decodes a counted
+//! run of symbols between two breaking units with it. The LUT kernels'
+//! count walk ([`gap_stats`](super::lut::gap_stats)) steps the codewords
+//! that start before a subsequence end with it, into a scratch buffer it
+//! never reads. A probe never yields a symbol past the caller's count or
+//! past the end bit, so unit boundaries, sync exits and the modeled
 //! [`GapStats`](super::lut::GapStats) counters are exactly those of a
 //! one-codeword-at-a-time walk.
 //!

@@ -68,7 +68,9 @@ use crate::archive;
 use crate::batch::{compress_batched_with_faults, BatchOptions, DeviceFault};
 use crate::decode::DecoderKind;
 use crate::error::{HuffError, Result};
-use crate::integrity::{DecompressOptions, RecoveryMode, RecoveryReport, Verify};
+use crate::integrity::{
+    DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Verify,
+};
 use crate::metrics::latency::LatencyBook;
 use crate::metrics::registry::Registry;
 use crate::metrics::span::{SpanSink, TraceContext};
@@ -499,6 +501,13 @@ impl ServeReport {
         root.insert("requests".into(), Value::Array(reqs));
         Value::Object(root)
     }
+}
+
+/// One host decode behind a decompress request: the whole container, or
+/// the byte range a range request asked for.
+enum Decoded {
+    Full(Recovered),
+    Range(RangeDecode),
 }
 
 /// What one successful execution produced.
@@ -1003,9 +1012,9 @@ impl Engine {
     fn execute(&mut self, workload: &Workload, draw: &ChaosDraw, trace: &str) -> Result<Exec> {
         match workload {
             Workload::Compress(symbols) => self.execute_compress(symbols, draw, trace),
-            Workload::Decompress(bytes) => self.execute_decompress(bytes, draw),
+            Workload::Decompress(bytes) => self.execute_decode(bytes, None, draw),
             Workload::DecompressRange(bytes, range) => {
-                self.execute_decompress_range(bytes, range.clone(), draw)
+                self.execute_decode(bytes, Some(range.clone()), draw)
             }
         }
     }
@@ -1099,7 +1108,19 @@ impl Engine {
         })
     }
 
-    fn execute_decompress(&mut self, bytes: &[u8], draw: &ChaosDraw) -> Result<Exec> {
+    /// Serve a decompress request, or only `range` of it, down the
+    /// decoder ladder: each strict rung in turn, then best-effort
+    /// recovery. Every rung decodes the same bytes on the host, so a
+    /// failure cannot depend on the rung: the strict call runs at most
+    /// once, at the first rung the chaos glitch does not skip, and the
+    /// best-effort call at most once after the ladder is exhausted. The
+    /// loop itself only charges each rung's modeled stage.
+    fn execute_decode(
+        &mut self,
+        bytes: &[u8],
+        range: Option<std::ops::Range<u64>>,
+        draw: &ChaosDraw,
+    ) -> Result<Exec> {
         // Chaos corruption works on a pooled copy; the caller's payload
         // is never touched.
         let scratch;
@@ -1113,205 +1134,84 @@ impl Engine {
             scratch = Vec::new();
             bytes
         };
+        // A failed rung read at most the range's window, never the whole
+        // archive — charge its fractional cost on the slice size.
+        let failed_bytes = range.as_ref().map_or(payload.len(), |r| {
+            usize::try_from(r.end.saturating_sub(r.start)).unwrap_or(usize::MAX)
+        });
+        let sentinel = self.cfg.sentinel;
+        let decode = |mode, decoder| {
+            let opts = DecompressOptions { verify: Verify::Full, mode, sentinel, decoder };
+            match &range {
+                None => archive::decompress_with(payload, &opts).map(Decoded::Full),
+                Some(r) => archive::decode_range(payload, r.clone(), &opts).map(Decoded::Range),
+            }
+        };
 
         let mut stages = vec![("overhead".to_string(), REQUEST_OVERHEAD_SECONDS)];
+        let mut strict: Option<Result<Decoded>> = None;
         let mut last_err: Option<HuffError> = None;
-        let mut outcome: Option<Exec> = None;
-
+        let mut served = None;
         for (rung, &kind) in self.cfg.ladder.iter().enumerate() {
             // The injected glitch models a gap-array inconsistency: the
             // LUT rung fails with the indexed error the degradation log
             // needs, and the engine falls through to the next rung.
             if draw.glitch && kind == DecoderKind::Lut {
-                let e = HuffError::GapArray {
+                last_err = Some(HuffError::GapArray {
                     chunk: 0,
                     subchunk: 0,
                     gap_bit: 0,
                     detail: "injected decoder glitch (chaos)".into(),
-                };
-                stages.push((
-                    format!("decode_{}_failed", kind.name()),
-                    self.model_decode_seconds(payload.len(), kind) * FAILED_RUNG_COST_FRACTION,
-                ));
-                last_err = Some(e);
-                continue;
-            }
-            let opts = DecompressOptions {
-                verify: Verify::Full,
-                mode: RecoveryMode::Strict,
-                sentinel: self.cfg.sentinel,
-                decoder: kind,
-            };
-            match archive::decompress_with(payload, &opts) {
-                Ok(rec) => {
-                    self.metrics.record_decompress(payload, &rec, kind);
-                    stages.push((
-                        format!("decode_{}", kind.name()),
-                        self.model_decode_seconds(rec.symbols.len() * 2, kind),
-                    ));
-                    let degraded = (rung > 0).then(|| (kind.name().to_string(), 0));
-                    outcome = Some(Exec {
-                        stages: std::mem::take(&mut stages),
-                        records: Vec::new(),
-                        response: Response::Symbols(rec.symbols),
-                        recovery: Some(rec.report),
-                        degraded,
-                        quarantined: 0,
-                    });
-                    break;
-                }
-                Err(e) => {
-                    stages.push((
-                        format!("decode_{}_failed", kind.name()),
-                        self.model_decode_seconds(payload.len(), kind) * FAILED_RUNG_COST_FRACTION,
-                    ));
-                    last_err = Some(e);
-                }
-            }
-        }
-        let exec = match outcome {
-            Some(exec) => exec,
-            None => {
-                // Strict ladder exhausted: best-effort recovery with the
-                // most robust backend. Damaged regions come back
-                // sentinel-filled and reported — never silently wrong.
-                let opts = DecompressOptions {
-                    verify: Verify::Full,
-                    mode: RecoveryMode::BestEffort,
-                    sentinel: self.cfg.sentinel,
-                    decoder: DecoderKind::Serial,
-                };
-                match archive::decompress_with(payload, &opts) {
-                    Ok(rec) => {
-                        self.metrics.record_decompress(payload, &rec, opts.decoder);
-                        stages.push((
-                            "best_effort".to_string(),
-                            self.model_decode_seconds(rec.symbols.len() * 2, DecoderKind::Serial),
-                        ));
-                        let lost = rec.report.symbols_lost;
-                        Exec {
-                            stages,
-                            records: Vec::new(),
-                            response: Response::Symbols(rec.symbols),
-                            recovery: Some(rec.report),
-                            degraded: Some(("best_effort".to_string(), lost)),
-                            quarantined: 0,
-                        }
+                });
+            } else {
+                match strict.take().unwrap_or_else(|| decode(RecoveryMode::Strict, kind)) {
+                    Ok(d) => {
+                        let backend = (rung > 0).then(|| kind.name().to_string());
+                        served = Some((d, kind, format!("decode_{}", kind.name()), backend));
+                        break;
                     }
                     Err(e) => {
-                        return Err(last_err.unwrap_or(e));
+                        last_err = Some(e.clone());
+                        strict = Some(Err(e));
                     }
                 }
             }
-        };
-        if draw.corruption.is_some() {
-            self.pool.release(scratch);
+            stages.push((
+                format!("decode_{}_failed", kind.name()),
+                self.model_decode_seconds(failed_bytes, kind) * FAILED_RUNG_COST_FRACTION,
+            ));
         }
-        Ok(exec)
-    }
-
-    fn execute_decompress_range(
-        &mut self,
-        bytes: &[u8],
-        range: std::ops::Range<u64>,
-        draw: &ChaosDraw,
-    ) -> Result<Exec> {
-        let scratch;
-        let payload: &[u8] = if let Some((frac, bit)) = draw.corruption {
-            let mut buf = self.pool.acquire(bytes);
-            let offset = ((bytes.len() as f64 * frac) as usize).min(bytes.len().saturating_sub(1));
-            crate::testing::apply(&mut buf, &Fault::BitFlip { offset, bit });
-            scratch = buf;
-            &scratch
-        } else {
-            scratch = Vec::new();
-            bytes
+        let (decoded, kind, stage, backend) = match served {
+            Some(served) => served,
+            // Strict ladder exhausted: best-effort recovery with the most
+            // robust backend. Damaged regions come back sentinel-filled
+            // and reported — never silently wrong.
+            None => match decode(RecoveryMode::BestEffort, DecoderKind::Serial) {
+                Ok(d) => {
+                    let label = "best_effort".to_string();
+                    (d, DecoderKind::Serial, label.clone(), Some(label))
+                }
+                Err(e) => return Err(last_err.unwrap_or(e)),
+            },
         };
-        // A failed rung read at most the range's window, never the whole
-        // archive — charge its fractional cost on the slice size.
-        let slice_estimate =
-            usize::try_from(range.end.saturating_sub(range.start)).unwrap_or(usize::MAX);
-
-        let mut stages = vec![("overhead".to_string(), REQUEST_OVERHEAD_SECONDS)];
-        let mut last_err: Option<HuffError> = None;
-        let mut outcome: Option<Exec> = None;
-        for (rung, &kind) in self.cfg.ladder.iter().enumerate() {
-            if draw.glitch && kind == DecoderKind::Lut {
-                let e = HuffError::GapArray {
-                    chunk: 0,
-                    subchunk: 0,
-                    gap_bit: 0,
-                    detail: "injected decoder glitch (chaos)".into(),
-                };
-                stages.push((
-                    format!("decode_{}_failed", kind.name()),
-                    self.model_decode_seconds(slice_estimate, kind) * FAILED_RUNG_COST_FRACTION,
-                ));
-                last_err = Some(e);
-                continue;
+        let (out_bytes, response, report) = match decoded {
+            Decoded::Full(rec) => {
+                self.metrics.record_decompress(payload, &rec, kind);
+                (rec.symbols.len() * 2, Response::Symbols(rec.symbols), rec.report)
             }
-            let opts = DecompressOptions {
-                verify: Verify::Full,
-                mode: RecoveryMode::Strict,
-                sentinel: self.cfg.sentinel,
-                decoder: kind,
-            };
-            match archive::decode_range(payload, range.clone(), &opts) {
-                Ok(r) => {
-                    self.metrics.record_range(&r, kind);
-                    stages.push((
-                        format!("decode_{}", kind.name()),
-                        self.model_decode_seconds(r.bytes.len(), kind),
-                    ));
-                    let degraded = (rung > 0).then(|| (kind.name().to_string(), 0));
-                    outcome = Some(Exec {
-                        stages: std::mem::take(&mut stages),
-                        records: Vec::new(),
-                        response: Response::Bytes(r.bytes),
-                        recovery: Some(r.report),
-                        degraded,
-                        quarantined: 0,
-                    });
-                    break;
-                }
-                Err(e) => {
-                    stages.push((
-                        format!("decode_{}_failed", kind.name()),
-                        self.model_decode_seconds(slice_estimate, kind) * FAILED_RUNG_COST_FRACTION,
-                    ));
-                    last_err = Some(e);
-                }
+            Decoded::Range(r) => {
+                self.metrics.record_range(&r, kind);
+                (r.bytes.len(), Response::Bytes(r.bytes), r.report)
             }
-        }
-        let exec = match outcome {
-            Some(exec) => exec,
-            None => {
-                let opts = DecompressOptions {
-                    verify: Verify::Full,
-                    mode: RecoveryMode::BestEffort,
-                    sentinel: self.cfg.sentinel,
-                    decoder: DecoderKind::Serial,
-                };
-                match archive::decode_range(payload, range, &opts) {
-                    Ok(r) => {
-                        self.metrics.record_range(&r, opts.decoder);
-                        stages.push((
-                            "best_effort".to_string(),
-                            self.model_decode_seconds(r.bytes.len(), DecoderKind::Serial),
-                        ));
-                        let lost = r.report.symbols_lost;
-                        Exec {
-                            stages,
-                            records: Vec::new(),
-                            response: Response::Bytes(r.bytes),
-                            recovery: Some(r.report),
-                            degraded: Some(("best_effort".to_string(), lost)),
-                            quarantined: 0,
-                        }
-                    }
-                    Err(e) => return Err(last_err.unwrap_or(e)),
-                }
-            }
+        };
+        stages.push((stage, self.model_decode_seconds(out_bytes, kind)));
+        let exec = Exec {
+            stages,
+            records: Vec::new(),
+            response,
+            degraded: backend.map(|b| (b, report.symbols_lost)),
+            recovery: Some(report),
+            quarantined: 0,
         };
         if draw.corruption.is_some() {
             self.pool.release(scratch);

@@ -186,3 +186,38 @@ fn frame_declaring_more_symbols_than_its_shard_can_hold_is_refused() {
     assert!(matches!(done.outcome, Outcome::Failed { .. }), "{:?}", done.outcome);
     assert!(done.response.is_none());
 }
+
+#[test]
+fn forged_payload_length_is_damage_not_an_allocation() {
+    // One 64-symbol chunk whose re-signed header claims 2^45 payload
+    // bits: a reader that sized its payload buffer from the header would
+    // ask for 4 TiB. The bytes present cannot back the chunk, so a
+    // best-effort read reports it damaged, and a strict read refuses it.
+    let packed = archive::compress(&symbols(64, 64), &CompressOptions::new(64)).unwrap();
+    let sections = archive::layout(&packed).unwrap();
+    let range = |s: Section| sections.iter().find(|(x, _)| *x == s).unwrap().1.clone();
+    assert_eq!(archive::chunk_count(&packed).unwrap(), 1);
+    let mut forged = packed.clone();
+    let huge = (1u64 << 45).to_le_bytes();
+    let chunk0 = range(Section::ChunkTable).start + 4;
+    forged[chunk0..chunk0 + 8].copy_from_slice(&huge);
+    let total = range(Section::TotalBits).start;
+    forged[total..total + 8].copy_from_slice(&huge);
+    let crc_at = range(Section::Checksums).end - 4;
+    let crc = crc32(&forged[..crc_at]);
+    forged[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+
+    for kind in [DecoderKind::Serial, DecoderKind::Chunked, DecoderKind::Lut] {
+        let opts = DecompressOptions::best_effort().with_decoder(kind);
+        let rec = archive::decompress_with(&forged, &opts).unwrap();
+        assert_eq!(rec.symbols.len(), 64);
+        assert_eq!(rec.report.damaged_chunks, [0], "{kind:?}");
+        assert!(rec.report.symbols_lost > 0);
+        let r = archive::decode_range(&forged, 10..90, &opts).unwrap();
+        assert_eq!(r.bytes.len(), 80);
+        assert_eq!(r.report.damaged_chunks, [0], "{kind:?}");
+    }
+    let strict = DecompressOptions::default();
+    assert!(archive::decompress_with(&forged, &strict).is_err());
+    assert!(archive::decode_range(&forged, 10..90, &strict).is_err());
+}
