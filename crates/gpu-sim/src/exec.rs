@@ -90,6 +90,12 @@ impl Gpu {
         (out, cost)
     }
 
+    /// Record a launch priced ahead of time from its ledger; returns its
+    /// modeled cost.
+    pub fn charge(&self, launch: &Launch) -> CostBreakdown {
+        self.launch_timed(launch.name, launch.grid, |scope| *scope.traffic() = launch.traffic).1
+    }
+
     /// Total modeled seconds accumulated so far.
     pub fn elapsed(&self) -> f64 {
         self.locked().elapsed()
@@ -121,6 +127,19 @@ impl Gpu {
     pub fn set_trace(&self, trace: &str) {
         self.locked().set_trace(trace);
     }
+}
+
+/// One kernel launch priced from its counters: the name, grid and traffic
+/// ledger [`Gpu::charge`] records. A kernel and a planner that only
+/// estimates the kernel's counters build the same value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Launch {
+    /// Kernel name.
+    pub name: &'static str,
+    /// Launch geometry.
+    pub grid: GridDim,
+    /// The traffic the launch charges.
+    pub traffic: Traffic,
 }
 
 /// Handle given to a kernel body; provides parallel regions and the traffic

@@ -54,7 +54,7 @@ pub mod traffic;
 pub use clock::{KernelRecord, SimClock};
 pub use cost::{gbps, throughput, CostBreakdown};
 pub use device::DeviceSpec;
-pub use exec::{Gpu, KernelScope};
+pub use exec::{Gpu, KernelScope, Launch};
 pub use grid::{GridDim, ThreadIdx};
 pub use info::{Granularity, KernelInfo, Mapping, SyncScope};
 pub use roofline::{Bound, Counters};

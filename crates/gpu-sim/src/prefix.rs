@@ -8,7 +8,7 @@
 //! charges.
 
 use crate::exec::KernelScope;
-use crate::traffic::Access;
+use crate::traffic::{Access, Traffic};
 use rayon::prelude::*;
 
 /// Exclusive prefix sum of `input`, accounting traffic on `scope`.
@@ -57,16 +57,25 @@ pub fn exclusive_scan(scope: &mut KernelScope, input: &[u64]) -> (Vec<u64>, u64)
         }
     });
 
-    let t = scope.traffic();
-    t.read(Access::Coalesced, n as u64, 8);
-    t.write(Access::Coalesced, n as u64, 8);
-    t.read(Access::Coalesced, n as u64, 8); // uniform-add pass re-reads
-    t.write(Access::Coalesced, n as u64, 8);
-    t.ops(3 * n as u64);
-    t.grid_sync();
-    t.grid_sync();
-
+    scope.traffic().absorb(&exclusive_scan_ledger(n as u64));
     (out, grand_total)
+}
+
+/// The traffic [`exclusive_scan`] charges for `n` elements (none for an
+/// empty input).
+pub fn exclusive_scan_ledger(n: u64) -> Traffic {
+    let mut t = Traffic::new();
+    if n == 0 {
+        return t;
+    }
+    t.read(Access::Coalesced, n, 8);
+    t.write(Access::Coalesced, n, 8);
+    t.read(Access::Coalesced, n, 8); // uniform-add pass re-reads
+    t.write(Access::Coalesced, n, 8);
+    t.ops(3 * n);
+    t.grid_sync();
+    t.grid_sync();
+    t
 }
 
 /// Elements scanned per block by [`single_pass_scan`].
@@ -126,18 +135,27 @@ pub fn single_pass_scan(scope: &mut KernelScope, input: &[u64]) -> (Vec<u64>, u6
         }
     });
 
-    let b = nblocks as u64;
-    let t = scope.traffic();
-    t.read(Access::Coalesced, n as u64, 8);
-    t.write(Access::Coalesced, n as u64, 8);
+    scope.traffic().absorb(&single_pass_scan_ledger(n as u64));
+    (out, grand_total)
+}
+
+/// The traffic [`single_pass_scan`] charges for `n` elements (none for an
+/// empty input).
+pub fn single_pass_scan_ledger(n: u64) -> Traffic {
+    let mut t = Traffic::new();
+    if n == 0 {
+        return t;
+    }
+    let b = n.div_ceil(SINGLE_PASS_BLOCK as u64);
+    t.read(Access::Coalesced, n, 8);
+    t.write(Access::Coalesced, n, 8);
     // Descriptor publication (aggregate + status flag, 16 B, one thread per
     // block -> strided) and the expected-two-predecessor lookback window.
     t.write(Access::Strided, b, 16);
     t.read(Access::Strided, 2 * b, 16);
-    t.shared(block as u64 * 8); // tile scan workspace
-    t.ops(2 * n as u64 + 8 * b);
-
-    (out, grand_total)
+    t.shared(SINGLE_PASS_BLOCK as u64 * 8); // tile scan workspace
+    t.ops(2 * n + 8 * b);
+    t
 }
 
 /// Inclusive prefix sum of `input` (each element includes itself).

@@ -6,7 +6,7 @@
 //! on the host with rayon and charge a 4-pass LSD radix sort's traffic.
 
 use crate::exec::KernelScope;
-use crate::traffic::Access;
+use crate::traffic::{Access, Traffic};
 use rayon::prelude::*;
 
 /// Sort `(key, value)` pairs by ascending key, stably, accounting the
@@ -27,15 +27,22 @@ pub fn sort_keys<K: Ord + Send>(scope: &mut KernelScope, keys: &mut [K]) {
 }
 
 fn account(scope: &mut KernelScope, n: usize, elem_bytes: u64) {
+    scope.traffic().absorb(&ledger(n as u64, elem_bytes));
+}
+
+/// The traffic of a 4-pass LSD radix sort over `n` elements of
+/// `elem_bytes` bytes each.
+pub fn ledger(n: u64, elem_bytes: u64) -> Traffic {
     const RADIX_PASSES: u64 = 4;
-    let t = scope.traffic();
-    t.read(Access::Coalesced, RADIX_PASSES * n as u64, elem_bytes);
+    let mut t = Traffic::new();
+    t.read(Access::Coalesced, RADIX_PASSES * n, elem_bytes);
     // Scatter phase of each pass is data-dependent but bucketed; charge half
     // coalesced, half strided.
-    t.write(Access::Coalesced, RADIX_PASSES * n as u64 / 2, elem_bytes);
-    t.write(Access::Strided, RADIX_PASSES * n as u64 / 2, elem_bytes);
-    t.ops(RADIX_PASSES * 2 * n as u64);
+    t.write(Access::Coalesced, RADIX_PASSES * n / 2, elem_bytes);
+    t.write(Access::Strided, RADIX_PASSES * n / 2, elem_bytes);
+    t.ops(RADIX_PASSES * 2 * n);
     t.grid_sync();
+    t
 }
 
 #[cfg(test)]

@@ -274,11 +274,7 @@ fn autotune_row(label: String, data: &[u16], num_symbols: usize, symbol_bytes: u
         let (_, _, hit) = tuner.decide(data, num_symbols, symbol_bytes).expect("re-decide");
         let auto_secs = match decision.dispatch {
             Dispatch::Gpu => {
-                let mut tuned = BatchOptions::new(num_symbols);
-                tuned.shard_symbols = data.len().div_ceil(decision.shards.max(1) as usize).max(1);
-                tuned.streams = decision.streams.max(1) as usize;
-                tuned.reduction = Some(decision.reduction.max(1));
-                tuned.symbol_bytes = symbol_bytes;
+                let tuned = decision.batch_options(fixed.clone(), data.len());
                 let (_, report) = compress_batched(data, &tuned).expect("autotuned run");
                 report.makespan
             }

@@ -893,7 +893,14 @@ fn cmd_profile(args: &[String]) -> CmdResult {
     let raw = read_file(input)?;
     let gpu = f.gpu()?;
 
-    let is_archive = matches!(container::sniff(&raw), Ok(Kind::Archive));
+    let kind = container::sniff(&raw);
+    if let Ok(other @ (Kind::Frame | Kind::Raw)) = kind {
+        let what = if other == Kind::Frame { "an RSHM frame" } else { "an RSHR container" };
+        return Err(CliError::Usage(format!(
+            "profile takes raw input or a bare RSH archive, and {input} is {what}"
+        )));
+    }
+    let is_archive = matches!(kind, Ok(Kind::Archive));
     if f.compare {
         return cmd_profile_compare(&f, &raw, is_archive);
     }
@@ -1544,6 +1551,21 @@ mod tests {
         ));
         let f = parse_flags(&["--devices".to_string(), "v100,tpu".to_string()]).unwrap();
         assert!(matches!(f.device_fleet(), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn profile_rejects_frames_and_raw_containers() {
+        let input = tmp("pcont.bin");
+        let frame = tmp("pcont.rshm");
+        std::fs::write(&input, (0..40_000u32).map(|i| (i % 61) as u8).collect::<Vec<u8>>())
+            .unwrap();
+        let args = [input, frame.clone(), "--shards".into(), "2".into()];
+        assert_eq!(cmd_compress(&args).unwrap(), 0);
+        let raw = tmp("pcont.rshr");
+        std::fs::write(&raw, container::store_raw(&[1, 2, 3], 1).unwrap()).unwrap();
+        for path in [frame, raw] {
+            assert!(matches!(cmd_profile(&[path]), Err(CliError::Usage(_))));
+        }
     }
 
     #[test]

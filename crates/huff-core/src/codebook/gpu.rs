@@ -11,11 +11,12 @@
 //!   of Section II-C), followed by the partially-parallelized canonization
 //!   kernel.
 
-use super::generate_cl::generate_cl;
+use super::generate_cl::{generate_cl, ClStats};
 use super::generate_cw::generate_cw;
 use super::CanonicalCodebook;
 use crate::error::{HuffError, Result};
-use gpu_sim::{Access, Gpu, GridDim};
+use gpu_sim::{Access, Gpu, GridDim, Launch, Traffic};
+use rayon::prelude::*;
 
 /// Modeled per-phase times (seconds) of the parallel construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -52,45 +53,10 @@ pub fn parallel_on_gpu(
     if pairs.is_empty() {
         return Err(HuffError::EmptyHistogram);
     }
-    let n = pairs.len();
-    let partitions = gpu.spec().sm_count as usize;
-
-    // --- Sort kernel (Thrust) -----------------------------------------
-    let (_, sort_cost) = gpu.launch_timed("codebook_sort", GridDim::cover(n, 256), |scope| {
-        gpu_sim::sort::sort_pairs_by_key(scope, &mut pairs);
-    });
+    // The Thrust sort, stable by frequency.
+    pairs.par_sort_by(|a, b| a.0.cmp(&b.0));
     let sorted_freqs: Vec<u64> = pairs.iter().map(|&(f, _)| f).collect();
-
-    // --- GenerateCL kernel ---------------------------------------------
-    let ((cl, _stats), cl_cost) =
-        gpu.launch_timed("generate_cl", GridDim::cover(n, 256), |scope| {
-            let out = generate_cl(&sorted_freqs, partitions);
-            let stats = out.1.clone();
-            // Per-round regions: NewNodeFromSmallestTwo, leaf selection,
-            // PARMERGE (partition + merge), MELD, UPDATELEAFNODE.
-            let t = scope.traffic();
-            for _ in 0..5 * stats.rounds {
-                t.grid_sync();
-            }
-            // Structure-of-arrays node records: 16 B (freq + leader/aux).
-            t.read(Access::Coalesced, stats.selection_scans, 16);
-            t.read(Access::Coalesced, stats.merged_elements, 16);
-            t.write(Access::Coalesced, stats.merged_elements, 16);
-            t.write(Access::Coalesced, stats.melds, 24);
-            t.read(Access::Coalesced, stats.leaf_updates, 12);
-            t.write(Access::Coalesced, stats.leaf_updates / 2, 12);
-            t.read(Access::Random, stats.search_steps, 8);
-            t.ops(
-                stats.selection_scans
-                    + 2 * stats.merged_elements
-                    + stats.melds
-                    + 2 * stats.leaf_updates
-                    + stats.search_steps,
-            );
-            // Atomic max on copy.size per selected leaf.
-            t.global_atomic(stats.selection_scans / 4, stats.rounds);
-            out
-        });
+    let (cl, stats) = generate_cl(&sorted_freqs, gpu.spec().sm_count as usize);
 
     // Map lengths back to symbols and fix the within-level order to
     // ascending symbol, so the codebook matches `codebook::parallel` and is
@@ -103,35 +69,71 @@ pub fn parallel_on_gpu(
         (0..freqs.len()).filter(|&s| lengths[s] > 0).map(|s| s as u16).collect();
     order.sort_unstable_by_key(|&s| (lengths[s as usize], s));
     let cl_desc: Vec<u32> = order.iter().rev().map(|&s| lengths[s as usize]).collect();
+    let cw = generate_cw(&cl_desc)?;
 
-    // --- GenerateCW kernel (canonization folded in) ----------------------
-    let (cw, cw_cost) = gpu.launch_timed("generate_cw", GridDim::cover(n, 256), |scope| {
-        let cw = generate_cw(&cl_desc)?;
-        let t = scope.traffic();
-        // PARREVERSE + per-level regions (assign, metadata) + final
-        // reverse-codebook write.
-        t.grid_sync();
-        for _ in 0..2 * cw.levels {
-            t.grid_sync();
-        }
-        t.read(Access::Coalesced, n as u64, 4);
-        t.write(Access::Coalesced, n as u64, 12);
-        t.write(Access::Coalesced, n as u64, 2); // reverse codebook
-        t.ops(3 * n as u64 + u64::from(cw.levels));
-        // ATOMICMIN per level boundary search.
-        t.global_atomic(u64::from(cw.levels) * 32, u64::from(cw.levels));
-        Ok::<_, HuffError>(cw)
-    });
-    let cw = cw?;
+    let [sort, generate_cl, generate_cw] =
+        launches(pairs.len() as u64, &stats, cw.levels).map(|l| gpu.charge(&l).total);
     let book = CanonicalCodebook::assemble(freqs.len(), &order, cw)?;
-
     let times = ParallelCodebookTimes {
-        sort: sort_cost.total,
-        generate_cl: cl_cost.total,
-        generate_cw: cw_cost.total,
-        total: sort_cost.total + cl_cost.total + cw_cost.total,
+        sort,
+        generate_cl,
+        generate_cw,
+        total: sort + generate_cl + generate_cw,
     };
     Ok((book, times))
+}
+
+/// The parallel construction's three kernels for `n` coded symbols, in
+/// launch order: the sort, `GenerateCL` (priced from its run statistics)
+/// and `GenerateCW` over `cw_levels` length levels.
+pub(crate) fn launches(n: u64, cl: &ClStats, cw_levels: u32) -> [Launch; 3] {
+    let grid = GridDim::cover(n as usize, 256);
+    let sort = gpu_sim::sort::ledger(n, std::mem::size_of::<(u64, u16)>() as u64);
+
+    // Per-round regions: NewNodeFromSmallestTwo, leaf selection, PARMERGE
+    // (partition + merge), MELD, UPDATELEAFNODE.
+    let mut gen_cl = Traffic::new();
+    for _ in 0..5 * cl.rounds {
+        gen_cl.grid_sync();
+    }
+    // Structure-of-arrays node records: 16 B (freq + leader/aux).
+    gen_cl.read(Access::Coalesced, cl.selection_scans, 16);
+    gen_cl.read(Access::Coalesced, cl.merged_elements, 16);
+    gen_cl.write(Access::Coalesced, cl.merged_elements, 16);
+    gen_cl.write(Access::Coalesced, cl.melds, 24);
+    gen_cl.read(Access::Coalesced, cl.leaf_updates, 12);
+    gen_cl.write(Access::Coalesced, cl.leaf_updates / 2, 12);
+    gen_cl.read(Access::Random, cl.search_steps, 8);
+    gen_cl.ops(
+        cl.selection_scans
+            + 2 * cl.merged_elements
+            + cl.melds
+            + 2 * cl.leaf_updates
+            + cl.search_steps,
+    );
+    // Atomic max on copy.size per selected leaf.
+    gen_cl.global_atomic(cl.selection_scans / 4, cl.rounds);
+
+    // PARREVERSE + per-level regions (assign, metadata) + final
+    // reverse-codebook write; canonization is folded in.
+    let levels = u64::from(cw_levels);
+    let mut gen_cw = Traffic::new();
+    gen_cw.grid_sync();
+    for _ in 0..2 * levels {
+        gen_cw.grid_sync();
+    }
+    gen_cw.read(Access::Coalesced, n, 4);
+    gen_cw.write(Access::Coalesced, n, 12);
+    gen_cw.write(Access::Coalesced, n, 2); // reverse codebook
+    gen_cw.ops(3 * n + levels);
+    // ATOMICMIN per level boundary search.
+    gen_cw.global_atomic(levels * 32, levels);
+
+    [
+        Launch { name: "codebook_sort", grid, traffic: sort },
+        Launch { name: "generate_cl", grid, traffic: gen_cl },
+        Launch { name: "generate_cw", grid, traffic: gen_cw },
+    ]
 }
 
 /// Build the codebook with the *serial* algorithm on one device thread,

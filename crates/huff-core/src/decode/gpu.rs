@@ -32,7 +32,7 @@ use crate::codebook::CanonicalCodebook;
 use crate::encode::ChunkedStream;
 use crate::error::Result;
 use crate::integrity::{DecompressOptions, RangeDecode, RecoveryMode, RecoveryReport};
-use gpu_sim::{Access, Gpu, GridDim, KernelScope};
+use gpu_sim::{Access, DeviceSpec, Gpu, GridDim, Launch, Traffic};
 
 /// Hard grid-size cap: chunks beyond this many blocks are handled by a
 /// block-level loop (grid-stride over chunks), which the traffic model
@@ -64,116 +64,134 @@ impl DecodeLaunch {
     }
 }
 
-fn decode_launch(stream: &ChunkedStream) -> DecodeLaunch {
-    let n_chunks = stream.num_chunks().max(1) as u64;
+fn decode_launch(chunks: u64) -> DecodeLaunch {
+    let n_chunks = chunks.max(1);
     let blocks = n_chunks.min(MAX_BLOCKS);
     DecodeLaunch { n_chunks, blocks, chunks_per_block: n_chunks.div_ceil(blocks) }
 }
 
-/// The shared traffic model of the bit-serial chunked decode kernel
-/// (strict and best-effort variants launch the same kernel shape).
-fn account_decode_traffic(scope: &mut KernelScope, stream: &ChunkedStream, table_bytes: u64) {
-    let launch = decode_launch(stream);
-    let n = stream.num_symbols as u64;
-    let payload_bytes = stream.total_bits.div_ceil(8);
-    let resident = launch.blocks.min(u64::from(scope.spec().sm_count) * 4);
-    let t = scope.traffic();
+/// The stream counters the decode kernels charge for: read off a parsed
+/// stream by a launch, estimated from a workload signature by the
+/// autotuner ([`crate::tune`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StreamShape {
+    /// Decoded symbols.
+    pub symbols: u64,
+    /// Payload bits.
+    pub total_bits: u64,
+    /// Chunks in the stream.
+    pub chunks: u64,
+}
+
+impl StreamShape {
+    /// The counters of `stream`.
+    fn of(stream: &ChunkedStream) -> Self {
+        StreamShape {
+            symbols: stream.num_symbols as u64,
+            total_bits: stream.total_bits,
+            chunks: stream.num_chunks() as u64,
+        }
+    }
+}
+
+/// The bit-serial chunked decode kernel's ledger (strict and best-effort
+/// variants launch the same kernel shape). `table_bytes` is the decode
+/// table each resident block stages.
+pub(crate) fn chunked_ledger(spec: &DeviceSpec, s: &StreamShape, table_bytes: u64) -> Traffic {
+    let launch = decode_launch(s.chunks);
+    let resident = launch.blocks.min(u64::from(spec.sm_count) * 4);
+    let mut t = Traffic::new();
     // Each chunk streams its payload once; substreams are contiguous so
     // reads coalesce across the block's threads.
-    t.read(Access::Coalesced, payload_bytes, 1);
+    t.read(Access::Coalesced, s.total_bits.div_ceil(8), 1);
     // Chunk offsets + bit lengths.
     t.read(Access::Coalesced, 2 * launch.n_chunks, 8);
     // Decode tables staged per resident block, reused from L2 after.
     t.read(Access::Coalesced, resident * table_bytes, 1);
     // Per-symbol on-chip table probes (~avg-code-length lookups each).
-    let avg_probes = stream.total_bits.checked_div(n).map_or(1, |p| p.clamp(1, 64));
-    t.shared(n * avg_probes * 4);
+    let avg_probes = s.total_bits.checked_div(s.symbols).map_or(1, |p| p.clamp(1, 64));
+    t.shared(s.symbols * avg_probes * 4);
     // Symbol output, coalesced.
-    t.write(Access::Coalesced, n, 2);
+    t.write(Access::Coalesced, s.symbols, 2);
     // Bit-serial decode: ~6 ops per consumed bit (3 to extract the bit
     // and accumulate the code value, 3 for the First/Count boundary
     // compares), divergent across the warp (symbols end at different bit
     // positions).
-    t.ops(6 * stream.total_bits + launch.loop_ops());
+    t.ops(6 * s.total_bits + launch.loop_ops());
     t.diverge(2.0);
+    t
 }
 
+/// The bytes of a codebook's decode tables (reverse codebook, `First`
+/// and `Entry`).
 fn decode_table_bytes(book: &CanonicalCodebook) -> u64 {
     (book.reverse().len() * 2 + book.first().len() * 8 + book.entry().len() * 4) as u64
 }
 
-/// The serial baseline's traffic: one thread owns the whole stream, so
+/// The serial baseline's ledger: one thread owns the whole stream, so
 /// every table probe is a dependent access in a single latency chain —
 /// the Section II-C argument for why serial algorithms collapse on GPUs.
-fn account_serial_traffic(scope: &mut KernelScope, stream: &ChunkedStream, table_bytes: u64) {
-    let n = stream.num_symbols as u64;
-    let t = scope.traffic();
-    t.read(Access::Coalesced, stream.total_bits.div_ceil(8), 1);
+fn serial_ledger(s: &StreamShape, table_bytes: u64) -> Traffic {
+    let mut t = Traffic::new();
+    t.read(Access::Coalesced, s.total_bits.div_ceil(8), 1);
     t.read(Access::Coalesced, table_bytes, 1);
     // One dependent probe chain per symbol.
-    t.sequential(n);
-    t.ops(6 * stream.total_bits);
-    t.write(Access::Coalesced, n, 2);
+    t.sequential(s.symbols);
+    t.ops(6 * s.total_bits);
+    t.write(Access::Coalesced, s.symbols, 2);
+    t
 }
 
-/// The sync kernel's traffic: one walker per subsequence, each starting at
-/// its own bit offset (divergent strided reads), stepping codeword lengths
-/// through shared-memory LUT probes until its gap settles.
-fn account_sync_traffic(
-    scope: &mut KernelScope,
-    stream: &ChunkedStream,
+/// The LUT decoder's two ledgers, in launch order, for a `lut_bytes`
+/// table. The sync kernel runs one walker per subsequence, each starting
+/// at its own bit offset (divergent strided reads), stepping codeword
+/// lengths through shared-memory LUT probes until its gap settles. The
+/// decode kernel is all coalesced: payload and gap array stream in, one
+/// shared-memory LUT probe per *symbol* (not per bit), symbols stream
+/// out.
+pub(crate) fn lut_ledgers(
+    spec: &DeviceSpec,
+    s: &StreamShape,
     stats: &GapStats,
     cfg: SubchunkConfig,
-    lut: &DecodeLut,
-) {
-    let launch = decode_launch(stream);
-    let resident = launch.blocks.min(u64::from(scope.spec().sm_count) * 4);
+    lut_bytes: u64,
+) -> [Traffic; 2] {
+    let launch = decode_launch(s.chunks);
+    let resident = launch.blocks.min(u64::from(spec.sm_count) * 4);
     // A subsequence window spans this many 32-byte sectors.
     let sectors_per_sub = cfg.width_bits.max(1).div_ceil(256);
-    let t = scope.traffic();
+    let mut sync = Traffic::new();
     // Chunk offsets + bit lengths locate the subsequences.
-    t.read(Access::Coalesced, 2 * launch.n_chunks, 8);
+    sync.read(Access::Coalesced, 2 * launch.n_chunks, 8);
     // Each walker lands mid-payload at its own offset: one transaction
     // per subsequence sector, not coalescible across the warp.
-    t.read(Access::Strided, stats.subsequences * sectors_per_sub, 32);
+    sync.read(Access::Strided, stats.subsequences * sectors_per_sub, 32);
     // The LUT staged into shared memory per resident block.
-    t.read(Access::Coalesced, resident * lut.table_bytes(), 1);
+    sync.read(Access::Coalesced, resident * lut_bytes, 1);
     // One shared LUT probe per codeword-length step.
-    t.shared(stats.sync_steps * 4);
+    sync.shared(stats.sync_steps * 4);
     // The gap array, written once per subsequence.
-    t.write(Access::Coalesced, stats.subsequences, 8);
+    sync.write(Access::Coalesced, stats.subsequences, 8);
     // ~5 ops per step: window extract, probe, length accumulate, boundary
     // compare, loop. Per-pass barrier bookkeeping per block; stragglers
     // in the convergence loop diverge.
-    t.ops(5 * stats.sync_steps + 8 * stats.max_sync_passes * launch.blocks + launch.loop_ops());
-    t.diverge(2.0);
-}
+    sync.ops(5 * stats.sync_steps + 8 * stats.max_sync_passes * launch.blocks + launch.loop_ops());
+    sync.diverge(2.0);
 
-/// The LUT decode kernel's traffic: everything coalesced — payload and
-/// gap array stream in, one shared-memory LUT probe per *symbol* (not per
-/// bit), symbols stream out.
-fn account_lut_traffic(
-    scope: &mut KernelScope,
-    stream: &ChunkedStream,
-    stats: &GapStats,
-    lut: &DecodeLut,
-) {
-    let launch = decode_launch(stream);
-    let n = stream.num_symbols as u64;
-    let resident = launch.blocks.min(u64::from(scope.spec().sm_count) * 4);
-    let t = scope.traffic();
-    t.read(Access::Coalesced, stream.total_bits.div_ceil(8), 1);
-    t.read(Access::Coalesced, 2 * launch.n_chunks, 8);
+    let mut dec = Traffic::new();
+    dec.read(Access::Coalesced, s.total_bits.div_ceil(8), 1);
+    dec.read(Access::Coalesced, 2 * launch.n_chunks, 8);
     // The gap array computed by the sync kernel, read back coalesced.
-    t.read(Access::Coalesced, stats.subsequences * 8, 1);
-    t.read(Access::Coalesced, resident * lut.table_bytes(), 1);
+    dec.read(Access::Coalesced, stats.subsequences * 8, 1);
+    dec.read(Access::Coalesced, resident * lut_bytes, 1);
     // One shared LUT probe per decoded symbol — the whole point.
-    t.shared(stats.decoded_symbols * 4);
-    t.write(Access::Coalesced, n, 2);
+    dec.shared(stats.decoded_symbols * 4);
+    dec.write(Access::Coalesced, s.symbols, 2);
     // ~8 ops per symbol: window refill/shift, probe, unpack, advance.
     // Mild divergence from subsequence tails and slow-path fall-backs.
-    t.ops(8 * stats.decoded_symbols + launch.loop_ops());
-    t.diverge(1.2);
+    dec.ops(8 * stats.decoded_symbols + launch.loop_ops());
+    dec.diverge(1.2);
+    [sync, dec]
 }
 
 /// Charge the kernels `kind` launches to decode `stream` and return
@@ -195,21 +213,18 @@ fn launch(
     best_effort: bool,
     walk: bool,
 ) -> f64 {
-    let grid = decode_launch(stream).grid();
-    let table_bytes = decode_table_bytes(book);
+    let shape = StreamShape::of(stream);
+    let grid = decode_launch(shape.chunks).grid();
+    let charge = |name, grid, traffic| gpu.charge(&Launch { name, grid, traffic }).total;
     match kind {
         DecoderKind::Serial => {
             let name = if best_effort { "dec_serial_best_effort" } else { "dec_serial" };
-            let account =
-                |scope: &mut KernelScope| account_serial_traffic(scope, stream, table_bytes);
-            gpu.launch_timed(name, GridDim::new(1, 1), account).1.total
+            charge(name, GridDim::new(1, 1), serial_ledger(&shape, decode_table_bytes(book)))
         }
         DecoderKind::Chunked => {
             let name =
                 if best_effort { "dec_chunked_best_effort" } else { "dec_chunked_canonical" };
-            let account =
-                |scope: &mut KernelScope| account_decode_traffic(scope, stream, table_bytes);
-            gpu.launch_timed(name, grid, account).1.total
+            charge(name, grid, chunked_ledger(gpu.spec(), &shape, decode_table_bytes(book)))
         }
         DecoderKind::Lut => {
             // A `dec_subchunk_sync` launch (self-synchronization pass)
@@ -220,14 +235,9 @@ fn launch(
                 walk.then(|| lut::gap_stats(stream, &MultiLut::new(book, table.bits()), cfg));
             let stats =
                 walked.and_then(Result::ok).unwrap_or_else(|| GapStats::estimate(stream, cfg));
-            let (_, sync) = gpu.launch_timed("dec_subchunk_sync", grid, |scope| {
-                account_sync_traffic(scope, stream, &stats, cfg, &table)
-            });
+            let [sync, dec] = lut_ledgers(gpu.spec(), &shape, &stats, cfg, table.table_bytes());
             let name = if best_effort { "dec_lut_gap_best_effort" } else { "dec_lut_gap" };
-            let (_, dec) = gpu.launch_timed(name, grid, |scope| {
-                account_lut_traffic(scope, stream, &stats, &table)
-            });
-            sync.total + dec.total
+            charge("dec_subchunk_sync", grid, sync) + charge(name, grid, dec)
         }
     }
 }
@@ -561,10 +571,10 @@ mod tests {
             num_symbols: 0,
             outliers: SparseOutliers::new(),
         };
-        let small = decode_launch(&mk(1000));
+        let small = decode_launch(mk(1000).num_chunks() as u64);
         assert_eq!((small.blocks, small.chunks_per_block), (1000, 1));
         assert_eq!(small.loop_ops(), 0);
-        let big = decode_launch(&mk((1 << 20) + 37));
+        let big = decode_launch(mk((1 << 20) + 37).num_chunks() as u64);
         assert_eq!(big.blocks, 1 << 20);
         assert_eq!(big.chunks_per_block, 2);
         assert_eq!(big.loop_ops(), 8 * 37);

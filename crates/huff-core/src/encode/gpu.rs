@@ -20,19 +20,20 @@
 //! compaction (ballot + block-local scan + one coalesced segment write)
 //! instead of per-unit random scatter. Either way the returned stream is
 //! bit-identical — the plan only changes the modeled launch/traffic shape.
+//! Every kernel's traffic comes from one ledger, `launches`, which the
+//! autotuner prices too.
 //!
 //! `symbol_bytes` is the dataset's native symbol width (1 for the
 //! byte-oriented corpora, 2 for quantization codes and k-mers) — it sets
 //! the input-read traffic and is the basis for the GB/s figures the tables
 //! report.
 
-use super::reduce_shuffle::{assemble, encode_chunk, EncodedChunk};
+use super::reduce_shuffle::{assemble, encode_chunks};
 use super::{BreakingStrategy, ChunkedStream, MergeConfig};
 use crate::codebook::CanonicalCodebook;
 use crate::error::Result;
 use crate::plan::KernelPlan;
-use gpu_sim::{Access, Gpu, GridDim};
-use rayon::prelude::*;
+use gpu_sim::{prefix, Access, DeviceSpec, Gpu, GridDim, Launch, Traffic};
 
 /// Hardware grid-dimension ceiling shared by the encode kernels (same
 /// clamp the decode side applies via its `DecodeLaunch` helper).
@@ -86,6 +87,128 @@ pub struct GpuEncodeTimes {
     pub total: f64,
 }
 
+/// The counters the encode kernels charge for: measured from the encoded
+/// chunks by [`encode_on_gpu_with_plan`], estimated from a workload
+/// signature by the autotuner ([`crate::tune`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct EncodeCounters {
+    /// Input symbols.
+    pub symbols: u64,
+    /// Native symbol width, bytes.
+    pub symbol_bytes: u64,
+    /// Chunks the input splits into.
+    pub chunks: u64,
+    /// Merge units, `ceil(symbols / 2^r)`.
+    pub units: u64,
+    /// Codebook bytes a resident block stages in shared memory.
+    pub book_bytes: u64,
+    /// 4-byte words the shuffle moved, over all chunks.
+    pub words_moved: u64,
+    /// Shuffle iterations of the deepest chunk.
+    pub shuffle_iters: u64,
+    /// Dense payload bytes.
+    pub payload_bytes: u64,
+    /// Breaking units sent to the sparse sidecar.
+    pub breaking_units: u64,
+    /// Raw symbols of those units.
+    pub breaking_symbols: u64,
+}
+
+/// The encode kernels `plan` launches for `c` on `spec`, in launch order.
+pub(crate) fn launches(spec: &DeviceSpec, c: &EncodeCounters, plan: KernelPlan) -> Vec<Launch> {
+    let launch = EncodeLaunch::new(c.chunks);
+    let grid = launch.grid();
+
+    // Kernel 1: REDUCE-merge. Each resident block stages the codebook in
+    // shared memory once; with many more chunks than resident blocks the
+    // reloads hit L2, so the DRAM cost is bounded by the resident-block
+    // count.
+    let book_loads = launch.n_chunks.min(u64::from(spec.sm_count) * 4);
+    let mut reduce = Traffic::new();
+    reduce.read(Access::Coalesced, c.symbols, c.symbol_bytes); // input symbols
+    reduce.read(Access::Coalesced, book_loads * c.book_bytes, 1); // codebook staging
+    reduce.shared(c.symbols * 8); // per-symbol shared-memory codebook lookups
+    reduce.write(Access::Coalesced, c.units, 4); // merged unit words
+    reduce.write(Access::Coalesced, c.units, 1); // per-unit bit lengths (u8)
+    reduce.ops(4 * c.symbols + launch.loop_ops());
+
+    // Kernel 2: SHUFFLE-merge. Group bit-length bookkeeping: each window
+    // reads its two group lengths and writes the merged one; the total
+    // window count across all iterations is one per unit.
+    let mut shuffle = Traffic::new();
+    shuffle.read(Access::Coalesced, c.words_moved, 4);
+    shuffle.write(Access::Coalesced, c.words_moved, 4);
+    shuffle.read(Access::Coalesced, 2 * c.units, 4);
+    shuffle.write(Access::Coalesced, c.units, 4);
+    shuffle.ops(6 * c.words_moved + launch.loop_ops());
+    shuffle.diverge(2.0); // Section IV-C-d: shuffle diverges at a factor of 2
+    for _ in 0..c.shuffle_iters {
+        shuffle.grid_sync();
+    }
+    let mut out = vec![Launch { name: "enc_reduce_merge", grid, traffic: reduce }];
+    if plan.fused_len {
+        // Epilogue: blocks already hold their chunks' final bit lengths in
+        // shared memory, so the device-wide offsets resolve in a
+        // decoupled-lookback single pass — no extra launch, no barrier.
+        shuffle.absorb(&prefix::single_pass_scan_ledger(c.chunks));
+        out.push(Launch { name: "enc_shuffle_merge", grid, traffic: shuffle });
+    } else {
+        // Kernel 3: blockwise code lengths + prefix sum, its own launch.
+        out.push(Launch { name: "enc_shuffle_merge", grid, traffic: shuffle });
+        out.push(Launch {
+            name: "enc_blockwise_len",
+            grid: GridDim::cover(c.chunks as usize, 256),
+            traffic: prefix::exclusive_scan_ledger(c.chunks),
+        });
+    }
+
+    // Kernel 4: coalescing copy.
+    out.push(Launch {
+        name: "enc_coalescing_copy",
+        grid,
+        traffic: copy_ledger(c.payload_bytes, c.chunks),
+    });
+
+    // Kernel 5: breaking backtrace + dense-to-sparse.
+    let mut breaking = Traffic::new();
+    breaking.read(Access::Coalesced, c.units, 1); // one-time read of unit lens (u8)
+    breaking.read(Access::Coalesced, c.breaking_symbols, 2); // raw symbols re-read
+    if plan.compacted_backtrace {
+        // Warp-aggregated compaction: a ballot finds each warp's breaking
+        // units, a block-local scan packs them, one atomic per contributing
+        // block reserves a segment of the sidecar, and the segment lands as
+        // a single coalesced write. The device-wide scan (and its barrier)
+        // disappears.
+        let seg_blocks = c.units.div_ceil(256).min(c.breaking_units);
+        breaking.shared(c.units * 4); // ballot + block-local scan workspace
+        breaking.global_atomic(seg_blocks, seg_blocks / 64);
+        breaking.write(Access::Coalesced, c.breaking_units, 8); // sparse indices
+        breaking.write(Access::Coalesced, c.breaking_symbols, 2); // raw symbols
+        breaking.ops(c.units + 4 * c.breaking_units);
+    } else {
+        breaking.write(Access::Random, c.breaking_units, 8); // sparse indices
+        breaking.write(Access::Random, c.breaking_symbols, 2); // raw symbols
+        breaking.ops(c.units);
+        breaking.grid_sync();
+    }
+    out.push(Launch {
+        name: "enc_breaking_backtrace",
+        grid: GridDim::cover(c.units as usize, 256),
+        traffic: breaking,
+    });
+    out
+}
+
+/// The coalescing copy of `bytes` dense bytes gathered from `chunks`
+/// substreams.
+pub(crate) fn copy_ledger(bytes: u64, chunks: u64) -> Traffic {
+    let mut t = Traffic::new();
+    t.read(Access::Coalesced, bytes, 1);
+    t.write(Access::Coalesced, bytes, 1);
+    t.ops(bytes.div_ceil(4) + EncodeLaunch::new(chunks).loop_ops());
+    t
+}
+
 /// Encode on the device under the default (fused) plan. See
 /// [`encode_on_gpu_with_plan`].
 pub fn encode_on_gpu(
@@ -119,133 +242,36 @@ pub fn encode_on_gpu_with_plan(
     strategy: BreakingStrategy,
     plan: KernelPlan,
 ) -> Result<(ChunkedStream, GpuEncodeTimes)> {
-    let chunk_syms = config.chunk_symbols();
-    let n = symbols.len() as u64;
-    let n_chunks = symbols.len().div_ceil(chunk_syms).max(1) as u64;
-    let units = n.div_ceil(config.unit_symbols() as u64);
-    let book_bytes = book.coded_symbols() as u64 * 8;
-    // Each resident block stages the codebook in shared memory once; with
-    // many more chunks than resident blocks the reloads hit L2, so the
-    // DRAM cost is bounded by the resident-block count.
-    let book_loads = n_chunks.min(u64::from(gpu.spec().sm_count) * 4);
-
-    // --- Kernel 1: REDUCE-merge (fused functional work happens here) ----
-    let launch = EncodeLaunch::new(n_chunks);
-    let grid = launch.grid();
-    let (chunks, reduce_cost) = gpu.launch_timed("enc_reduce_merge", grid, |scope| {
-        let chunks: Vec<EncodedChunk<'_>> = symbols
-            .par_chunks(chunk_syms.max(1))
-            .map(|c| {
-                let first = encode_chunk::<u32>(c, book, config);
-                match strategy {
-                    BreakingStrategy::SparseSidecar => first,
-                    BreakingStrategy::WidenWord if first.breaking.is_empty() => first,
-                    BreakingStrategy::WidenWord => encode_chunk::<u64>(c, book, config),
-                }
-            })
-            .collect();
-        let t = scope.traffic();
-        t.read(Access::Coalesced, n, symbol_bytes); // input symbols
-        t.read(Access::Coalesced, book_loads * book_bytes, 1); // codebook staging
-        t.shared(n * 8); // per-symbol shared-memory codebook lookups
-        t.write(Access::Coalesced, units, 4); // merged unit words
-        t.write(Access::Coalesced, units, 1); // per-unit bit lengths (u8)
-        t.ops(4 * n + launch.loop_ops());
-        chunks
-    });
-
-    // --- Kernel 2: SHUFFLE-merge (+ fused length epilogue) ---------------
-    let chunk_bits: Vec<u64> = chunks.iter().map(|c| c.bit_len).collect();
-    let words_moved: u64 = chunks.iter().map(|c| c.shuffle.words_moved).sum();
-    let iters = chunks.iter().map(|c| c.shuffle.iterations).max().unwrap_or(0);
-    let (_, shuffle_cost) = gpu.launch_timed("enc_shuffle_merge", grid, |scope| {
-        {
-            let t = scope.traffic();
-            t.read(Access::Coalesced, words_moved, 4);
-            t.write(Access::Coalesced, words_moved, 4);
-            // Group bit-length bookkeeping: each window reads its two group
-            // lengths and writes the merged one; the total window count across
-            // all iterations is one per unit.
-            t.read(Access::Coalesced, 2 * units, 4);
-            t.write(Access::Coalesced, units, 4);
-            t.ops(6 * words_moved + launch.loop_ops());
-            t.diverge(2.0); // Section IV-C-d: shuffle diverges at a factor of 2
-            for _ in 0..iters {
-                t.grid_sync();
-            }
-        }
-        if plan.fused_len {
-            // Epilogue: blocks already hold their chunks' final bit lengths
-            // in shared memory, so the device-wide offsets resolve in a
-            // decoupled-lookback single pass — no extra launch, no barrier.
-            let (_offsets, _total) = gpu_sim::prefix::single_pass_scan(scope, &chunk_bits);
-        }
-    });
-
-    // --- Kernel 3: blockwise code lengths + prefix sum (unfused only) ----
-    let len_cost = if plan.fused_len {
-        gpu_sim::CostBreakdown::default()
-    } else {
-        let (_, cost) =
-            gpu.launch_timed("enc_blockwise_len", GridDim::cover(chunk_bits.len(), 256), |scope| {
-                let (_offsets, _total) = gpu_sim::prefix::exclusive_scan(scope, &chunk_bits);
-            });
-        cost
+    let chunks = encode_chunks(symbols, book, config, strategy);
+    let counters = EncodeCounters {
+        symbols: symbols.len() as u64,
+        symbol_bytes,
+        chunks: chunks.len() as u64,
+        units: (symbols.len() as u64).div_ceil(config.unit_symbols() as u64),
+        book_bytes: book.coded_symbols() as u64 * 8,
+        words_moved: chunks.iter().map(|c| c.shuffle.words_moved).sum(),
+        shuffle_iters: chunks.iter().map(|c| u64::from(c.shuffle.iterations)).max().unwrap_or(0),
+        payload_bytes: chunks.iter().map(|c| c.bit_len).sum::<u64>().div_ceil(8),
+        breaking_units: chunks.iter().map(|c| c.breaking.len() as u64).sum(),
+        breaking_symbols: chunks
+            .iter()
+            .flat_map(|c| &c.breaking)
+            .map(|(_, s)| s.len() as u64)
+            .sum(),
     };
-
-    // --- Kernel 4: coalescing copy --------------------------------------
-    let total_bits: u64 = chunk_bits.iter().sum();
-    let payload_bytes = total_bits.div_ceil(8);
-    let (_, copy_cost) = gpu.launch_timed("enc_coalescing_copy", grid, |scope| {
-        let t = scope.traffic();
-        t.read(Access::Coalesced, payload_bytes, 1);
-        t.write(Access::Coalesced, payload_bytes, 1);
-        t.ops(payload_bytes.div_ceil(4) + launch.loop_ops());
-    });
-
-    // --- Kernel 5: breaking backtrace + dense-to-sparse ------------------
-    let n_breaking: u64 = chunks.iter().map(|c| c.breaking.len() as u64).sum();
-    let breaking_syms: u64 =
-        chunks.iter().flat_map(|c| c.breaking.iter().map(|(_, s)| s.len() as u64)).sum();
-    let (_, breaking_cost) =
-        gpu.launch_timed("enc_breaking_backtrace", GridDim::cover(units as usize, 256), |scope| {
-            let t = scope.traffic();
-            t.read(Access::Coalesced, units, 1); // one-time read of unit lens (u8)
-            t.read(Access::Coalesced, breaking_syms, 2); // raw symbols re-read
-            if plan.compacted_backtrace {
-                // Warp-aggregated compaction: a ballot finds each warp's
-                // breaking units, a block-local scan packs them, one atomic
-                // per contributing block reserves a segment of the sidecar,
-                // and the segment lands as a single coalesced write. The
-                // device-wide scan (and its barrier) disappears.
-                let seg_blocks = units.div_ceil(256).min(n_breaking);
-                t.shared(units * 4); // ballot + block-local scan workspace
-                t.global_atomic(seg_blocks, seg_blocks / 64);
-                t.write(Access::Coalesced, n_breaking, 8); // sparse indices
-                t.write(Access::Coalesced, breaking_syms, 2); // raw symbols
-                t.ops(units + 4 * n_breaking);
-            } else {
-                t.write(Access::Random, n_breaking, 8); // sparse indices
-                t.write(Access::Random, breaking_syms, 2); // raw symbols
-                t.ops(units);
-                t.grid_sync();
-            }
-        });
-
-    let stream = assemble(symbols.len(), &chunks, config)?;
-    let times = GpuEncodeTimes {
-        reduce: reduce_cost.total,
-        shuffle: shuffle_cost.total,
-        blockwise_len: len_cost.total,
-        coalesce: copy_cost.total,
-        breaking: breaking_cost.total,
-        total: reduce_cost.total
-            + shuffle_cost.total
-            + len_cost.total
-            + copy_cost.total
-            + breaking_cost.total,
-    };
-    Ok((stream, times))
+    let mut times = GpuEncodeTimes::default();
+    for launch in launches(gpu.spec(), &counters, plan) {
+        let secs = gpu.charge(&launch).total;
+        *match launch.name {
+            "enc_reduce_merge" => &mut times.reduce,
+            "enc_shuffle_merge" => &mut times.shuffle,
+            "enc_blockwise_len" => &mut times.blockwise_len,
+            "enc_coalescing_copy" => &mut times.coalesce,
+            _ => &mut times.breaking,
+        } = secs;
+        times.total += secs;
+    }
+    Ok((assemble(symbols.len(), &chunks, config)?, times))
 }
 
 /// The cuSZ coarse baseline on the device: thread-per-chunk serial appends.

@@ -103,9 +103,19 @@ pub fn encode(
     config: MergeConfig,
     strategy: BreakingStrategy,
 ) -> Result<ChunkedStream> {
-    let chunk_syms = config.chunk_symbols();
-    let chunks: Vec<EncodedChunk<'_>> = symbols
-        .par_chunks(chunk_syms.max(1))
+    assemble(symbols.len(), &encode_chunks(symbols, book, config, strategy), config)
+}
+
+/// Reduce and shuffle every chunk of `symbols` in parallel, applying
+/// `strategy` to chunks with breaking units.
+pub fn encode_chunks<'a>(
+    symbols: &'a [u16],
+    book: &CanonicalCodebook,
+    config: MergeConfig,
+    strategy: BreakingStrategy,
+) -> Vec<EncodedChunk<'a>> {
+    symbols
+        .par_chunks(config.chunk_symbols().max(1))
         .map(|c| {
             let first = encode_chunk::<u32>(c, book, config);
             match strategy {
@@ -114,9 +124,7 @@ pub fn encode(
                 BreakingStrategy::WidenWord => encode_chunk::<u64>(c, book, config),
             }
         })
-        .collect();
-
-    assemble(symbols.len(), &chunks, config)
+        .collect()
 }
 
 /// Coalesce per-chunk payloads into the final stream ("get blockwise code

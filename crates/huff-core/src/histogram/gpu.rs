@@ -24,11 +24,26 @@
 use super::Histogram;
 use crate::plan::KernelPlan;
 use gpu_sim::atomic::{expected_conflicts, histogram_skew};
-use gpu_sim::{Access, Gpu, GridDim};
+use gpu_sim::{Access, DeviceSpec, Gpu, GridDim, Launch, Traffic};
 use rayon::prelude::*;
 
 /// Number of threads per block for the histogram kernels.
 const BLOCK_THREADS: u32 = 256;
+
+/// The counters the histogram kernels charge for: measured from the data
+/// by [`histogram_with_plan`], estimated by the autotuner
+/// ([`crate::tune`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HistCounters {
+    /// Input symbols.
+    pub n: u64,
+    /// Histogram bins.
+    pub bins: u64,
+    /// Native symbol width, bytes.
+    pub symbol_bytes: u64,
+    /// Shared-memory atomics that serialize, counted per warp.
+    pub conflicts: u64,
+}
 
 /// Compute the histogram of `data` on the device under the default
 /// (fused) plan. See [`histogram_with_plan`].
@@ -48,140 +63,92 @@ pub fn histogram_with_plan(
     symbol_bytes: u64,
     plan: KernelPlan,
 ) -> Histogram {
-    let hist_bytes = num_symbols * std::mem::size_of::<u32>();
-    // Replication degree: how many shared-memory copies of the histogram
-    // fit per block (at least 1; the paper's kernel degrades to a single
-    // copy for large codebooks such as 8192 bins).
-    let copies = (gpu.spec().shared_mem_per_block / hist_bytes.max(1)).clamp(1, 8);
+    let spec = gpu.spec();
+    let bins = num_symbols as u64;
+    // Each block histograms its own partition of the input.
+    let chunk = data.len().div_ceil(grid_blocks(spec, bins, plan).0 as usize).max(1);
+    let partials: Vec<Histogram> =
+        data.par_chunks(chunk).map(|part| super::serial::histogram(part, num_symbols)).collect();
+    let out: Histogram =
+        (0..num_symbols).into_par_iter().map(|bin| partials.iter().map(|p| p[bin]).sum()).collect();
 
-    // Full privatization needs at least one complete replica in shared
-    // memory; past that the fused commit has nothing to commit from and
-    // the two-kernel global-memory path is the only option.
-    if plan.fused_histogram && hist_bytes <= gpu.spec().shared_mem_per_block {
-        fused(gpu, data, num_symbols, symbol_bytes, copies)
-    } else {
-        two_kernel(gpu, data, num_symbols, symbol_bytes, copies)
-    }
-}
-
-/// Estimate the skew of the data's symbol distribution from the combined
-/// partials (the data itself), for the shared-atomic conflict model.
-fn combined_skew(partials: &[Histogram], num_symbols: usize) -> f64 {
-    let mut combined = vec![0u64; num_symbols];
-    for p in partials {
-        for (c, v) in combined.iter_mut().zip(p) {
-            *c += v;
-        }
-    }
-    histogram_skew(&combined)
-}
-
-/// Charge the traffic shared by both launch shapes: the coalesced input
-/// read, the replicated shared-memory atomics, and the replica storage.
-fn charge_read_phase(
-    t: &mut gpu_sim::Traffic,
-    n: u64,
-    num_symbols: usize,
-    copies: usize,
-    skew: f64,
-    warp_size: u32,
-    symbol_bytes: u64,
-) {
-    t.read(Access::Coalesced, n, symbol_bytes);
     // Conflicts serialize at warp granularity: the hardware resolves a
-    // warp's same-address atomics as one multi-update transaction, so
-    // the serialization cost is per warp-instruction, not per lane.
-    let conflicts = expected_conflicts(n, (num_symbols * copies) as u64, skew / copies as f64)
-        / u64::from(warp_size);
-    t.shared_atomic(n, conflicts);
-    t.shared((copies as u64) * num_symbols as u64 * 4);
-    t.ops(2 * n);
+    // warp's same-address atomics as one multi-update transaction, so the
+    // serialization cost is per warp-instruction, not per lane.
+    let n = data.len() as u64;
+    let copies = replicas(spec, bins);
+    let conflicts = expected_conflicts(n, bins * copies, histogram_skew(&out) / copies as f64)
+        / u64::from(spec.warp_size);
+    for launch in launches(spec, &HistCounters { n, bins, symbol_bytes, conflicts }, plan) {
+        gpu.charge(&launch);
+    }
+    out
 }
 
-/// Single-kernel full-privatization histogram (Gómez-Luna commit style).
-fn fused(
-    gpu: &Gpu,
-    data: &[u16],
-    num_symbols: usize,
-    symbol_bytes: u64,
-    copies: usize,
-) -> Histogram {
-    // Half the unfused grid: each replica covers twice the input, so the
-    // commit phase (one atomic per bin per block) stays cheap relative to
-    // the read phase it piggybacks on.
-    let blocks = (gpu.spec().sm_count * 4).min(512);
+/// Replication degree: how many shared-memory copies of the histogram fit
+/// per block (at least 1; the paper's kernel degrades to a single copy for
+/// large codebooks such as 8192 bins).
+fn replicas(spec: &DeviceSpec, bins: u64) -> u64 {
+    (spec.shared_mem_per_block as u64 / (bins * 4).max(1)).clamp(1, 8)
+}
+
+/// The grid's block count, and whether the fused kernel runs. Full
+/// privatization needs at least one complete replica in shared memory;
+/// past that the fused commit has nothing to commit from and the
+/// two-kernel global-memory path is the only option.
+fn grid_blocks(spec: &DeviceSpec, bins: u64, plan: KernelPlan) -> (u32, bool) {
+    if plan.fused_histogram && bins * 4 <= spec.shared_mem_per_block as u64 {
+        // Half the unfused grid: each replica covers twice the input, so
+        // the commit phase (one atomic per bin per block) stays cheap
+        // relative to the read phase it piggybacks on.
+        ((spec.sm_count * 4).min(512), true)
+    } else {
+        // One block per SM-resident slot; each block strides the input.
+        ((spec.sm_count * 8).min(1024), false)
+    }
+}
+
+/// The histogram kernels `plan` launches for `c` on `spec`, in launch
+/// order.
+pub(crate) fn launches(spec: &DeviceSpec, c: &HistCounters, plan: KernelPlan) -> Vec<Launch> {
+    let (blocks, fused) = grid_blocks(spec, c.bins, plan);
     let grid = GridDim::new(blocks, BLOCK_THREADS);
+    // The partial histograms: one per non-empty block partition.
+    let partials = c.n.div_ceil(c.n.div_ceil(u64::from(blocks)).max(1));
 
-    gpu.launch("hist_fused_reduction", grid, |scope| {
-        let chunk = data.len().div_ceil(blocks as usize).max(1);
-        let partials: Vec<Histogram> = data
-            .par_chunks(chunk)
-            .map(|part| super::serial::histogram(part, num_symbols))
-            .collect();
-        let committing = partials.len() as u64;
-
-        let out = (0..num_symbols)
-            .into_par_iter()
-            .map(|bin| partials.iter().map(|p| p[bin]).sum())
-            .collect();
-
-        let n = data.len() as u64;
-        let skew = combined_skew(&partials, num_symbols);
-        let t = scope.traffic();
-        charge_read_phase(t, n, num_symbols, copies, skew, gpu.spec().warp_size, symbol_bytes);
+    // Traffic shared by both launch shapes: every input element is read
+    // once, coalesced, and performs one shared-memory atomic into one of
+    // the replicas.
+    let mut read = Traffic::new();
+    read.read(Access::Coalesced, c.n, c.symbol_bytes);
+    read.shared_atomic(c.n, c.conflicts);
+    read.shared(replicas(spec, c.bins) * c.bins * 4);
+    read.ops(2 * c.n);
+    if fused {
         // Commit: each block adds its reduced replica into the global
         // histogram bin-by-bin. Lanes hit consecutive bins (distinct
         // addresses within a warp), so the L2 folds the adds into
         // sector-granular RMW traffic; the serialization chain is the
         // per-bin collision across blocks, at most one per committer.
-        t.global_atomic_coalesced(committing * num_symbols as u64, 4, committing);
-        t.ops(committing * num_symbols as u64);
-        out
-    })
-}
-
-/// The paper's two-kernel blockwise + gridwise reduction pair.
-fn two_kernel(
-    gpu: &Gpu,
-    data: &[u16],
-    num_symbols: usize,
-    symbol_bytes: u64,
-    copies: usize,
-) -> Histogram {
-    // One block per SM-resident slot; each block strides the input. The
-    // per-block partition is data.len()/blocks.
-    let blocks = (gpu.spec().sm_count * 8).min(1024);
-    let grid = GridDim::new(blocks, BLOCK_THREADS);
-
-    let partials: Vec<Histogram> = gpu.launch("hist_blockwise_reduction", grid, |scope| {
-        let chunk = data.len().div_ceil(blocks as usize).max(1);
-        let partials: Vec<Histogram> = data
-            .par_chunks(chunk)
-            .map(|part| super::serial::histogram(part, num_symbols))
-            .collect();
-
-        // Traffic: every input element is read once, coalesced; each
-        // element performs one shared-memory atomic into one of `copies`
-        // replicas; replicas are reduced and each block writes one partial.
-        let n = data.len() as u64;
-        let skew = combined_skew(&partials, num_symbols);
-        let t = scope.traffic();
-        charge_read_phase(t, n, num_symbols, copies, skew, gpu.spec().warp_size, symbol_bytes);
-        t.write(Access::Coalesced, u64::from(blocks) * num_symbols as u64, 4);
-        partials
-    });
-
-    gpu.launch("hist_gridwise_reduction", GridDim::cover(num_symbols, BLOCK_THREADS), |scope| {
-        let out = (0..num_symbols)
-            .into_par_iter()
-            .map(|bin| partials.iter().map(|p| p[bin]).sum())
-            .collect();
-        let t = scope.traffic();
-        t.read(Access::Coalesced, partials.len() as u64 * num_symbols as u64, 8);
-        t.write(Access::Coalesced, num_symbols as u64, 8);
-        t.ops(partials.len() as u64 * num_symbols as u64);
-        out
-    })
+        read.global_atomic_coalesced(partials * c.bins, 4, partials);
+        read.ops(partials * c.bins);
+        return vec![Launch { name: "hist_fused_reduction", grid, traffic: read }];
+    }
+    // The paper's two-kernel pair: each block writes one partial, then a
+    // gridwise tree-reduce folds the partials.
+    read.write(Access::Coalesced, u64::from(blocks) * c.bins, 4);
+    let mut fold = Traffic::new();
+    fold.read(Access::Coalesced, partials * c.bins, 8);
+    fold.write(Access::Coalesced, c.bins, 8);
+    fold.ops(partials * c.bins);
+    vec![
+        Launch { name: "hist_blockwise_reduction", grid, traffic: read },
+        Launch {
+            name: "hist_gridwise_reduction",
+            grid: GridDim::cover(c.bins as usize, BLOCK_THREADS),
+            traffic: fold,
+        },
+    ]
 }
 
 #[cfg(test)]

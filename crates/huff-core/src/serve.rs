@@ -1037,12 +1037,8 @@ impl Engine {
             }
             return match decision.dispatch {
                 Dispatch::Gpu => {
-                    let mut opts = self.cfg.batch.clone();
+                    let mut opts = decision.batch_options(self.cfg.batch.clone(), symbols.len());
                     opts.trace = trace.to_string();
-                    opts.shard_symbols =
-                        symbols.len().div_ceil(decision.shards.max(1) as usize).max(1);
-                    opts.streams = decision.streams.max(1) as usize;
-                    opts.reduction = Some(decision.reduction.max(1));
                     let (frame_bytes, report, quarantine) =
                         compress_batched_with_faults(symbols, &opts, &faults)?;
                     self.metrics.record_batch_compress(&frame_bytes, &report, &quarantine);

@@ -13,13 +13,13 @@
 //!    power-of-two size class. Quantization makes the signature a stable
 //!    cache key: two inputs with the same statistics tune identically.
 //! 2. **Modeled sweep** ([`plan`]) — candidate reduction factors
-//!    (Fig. 3's `r` ± 1), shard counts and stream counts are scored with
-//!    the existing analytic cost model ([`gpu_sim::cost::estimate`]) on
-//!    the target [`DeviceSpec`]; the decoder is chosen by the same
-//!    ledger comparison that located the ~3-avg-bit crossover. The fixed
-//!    CLI default geometry is always in the candidate set and wins ties
-//!    (a 10 % hysteresis), so an autotuned run never models slower than
-//!    the default it replaces.
+//!    (Fig. 3's `r` ± 1), shard counts and stream counts are scored on
+//!    the target [`DeviceSpec`] with the kernels' own traffic ledgers, fed
+//!    counters estimated from the signature; the decoder is chosen by
+//!    pricing `decode::gpu`'s chunked and LUT ledgers. The fixed CLI
+//!    default geometry is always in the candidate set and wins ties (a
+//!    20 % hysteresis), so an autotuned run never models slower than the
+//!    default it replaces.
 //! 3. **Dispatch early exits** — incompressible inputs (expected output
 //!    ≥ [`STORE_RAW_THRESHOLD`] of raw) skip the encoder entirely and
 //!    are stored in the tiny `RSHR` raw container
@@ -58,18 +58,20 @@
 
 use crate::archive::{self, CompressOptions};
 use crate::batch::{self, BatchOptions};
-use crate::codebook;
+use crate::codebook::{self, generate_cl::ClStats};
 use crate::container;
-use crate::decode::DecoderKind;
-use crate::encode::BreakingStrategy;
+use crate::decode::gpu::StreamShape;
+use crate::decode::lut::{self, GapStats, SubchunkConfig};
+use crate::decode::{self, DecoderKind};
+use crate::encode::{self, gpu::EncodeCounters, BreakingStrategy};
 use crate::entropy;
 use crate::error::Result;
-use crate::histogram;
+use crate::histogram::{self, gpu::HistCounters};
 use crate::integrity::crc32;
 use crate::plan::KernelPlan;
 use crate::wire::Reader;
 use gpu_sim::cost;
-use gpu_sim::{Access, DeviceSpec, KernelRecord, StreamSchedule, Traffic};
+use gpu_sim::{DeviceSpec, Gpu, KernelRecord, StreamSchedule, Traffic};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -98,13 +100,13 @@ pub const CPU_SERIAL_BYTES_PER_SEC: f64 = 0.35e9;
 pub const MODEL_SWEEP_SECONDS: f64 = 250.0e-6;
 
 /// Keep the fixed default geometry unless a candidate models at least
-/// this much faster (fractional win). The tuner's synthetic per-shard
-/// ledgers track the real pipeline's replayed makespan to roughly ±15%
-/// (DESIGN.md § "Tuning policy" tabulates the calibration), so a
-/// deviation is only trusted when the modeled win clears that error
+/// this much faster (fractional win). The kernels' ledgers are exact, but
+/// the counters the tuner feeds them are estimates that run high (DESIGN.md
+/// § "Tuning policy" tabulates the calibration against the real replay),
+/// so a deviation is only trusted when the modeled win clears that error
 /// band — this is what makes the "autotuned never loses to the default"
 /// contract hold near ties.
-const GEOMETRY_HYSTERESIS: f64 = 0.20;
+pub const GEOMETRY_HYSTERESIS: f64 = 0.20;
 
 /// Shard-count candidates for the geometry sweep.
 const SHARD_CANDIDATES: [u32; 5] = [1, 2, 4, 8, 16];
@@ -280,6 +282,17 @@ impl Decision {
     pub fn modeled_seconds(&self) -> f64 {
         self.modeled_nanos as f64 * 1e-9
     }
+
+    /// `base` with this decision's reduction, geometry and kernel plan for
+    /// an input of `len` symbols: the one mapping from a [`Dispatch::Gpu`]
+    /// decision to a batch run.
+    pub fn batch_options(&self, mut base: BatchOptions, len: usize) -> BatchOptions {
+        base.shard_symbols = len.div_ceil(self.shards.max(1) as usize).max(1);
+        base.streams = self.streams.max(1) as usize;
+        base.reduction = Some(self.reduction.max(1));
+        base.plan = self.plan;
+        base
+    }
 }
 
 fn decoder_code(k: DecoderKind) -> u8 {
@@ -303,172 +316,64 @@ fn decoder_from_code(c: u8) -> Option<DecoderKind> {
 // The modeled sweep
 // ---------------------------------------------------------------------------
 
-/// Wrap a priced [`Traffic`] ledger as a replayable [`KernelRecord`].
-/// `elems` sizes the launch grid (256 threads × 4 elements per thread),
-/// which in turn sets the kernel's occupancy weight in the stream
-/// scheduler's contention factor — a shard pass over few elements claims
-/// a small slice of bandwidth, a device-filling pass claims it all.
-fn pass_record(
-    spec: &DeviceSpec,
-    name: &str,
-    traffic: Traffic,
-    elems: u64,
-    launch: bool,
-) -> KernelRecord {
-    let cost = cost::estimate(spec, &traffic, launch);
-    let blocks = u32::try_from(elems.max(1).div_ceil(1024)).unwrap_or(u32::MAX);
-    KernelRecord {
-        seq: 0,
-        name: name.into(),
-        blocks,
-        threads_per_block: 256,
-        stream: 0,
-        contention: 1.0,
-        start: 0.0,
-        end: cost.total,
-        cost,
-        traffic,
-        trace: String::new(),
-    }
-}
-
-/// Modeled kernel records of one shard's compress pipeline (histogram →
-/// codebook → reduce → shuffle passes → sidecar), built from synthetic
-/// [`Traffic`] ledgers and priced by [`gpu_sim::cost::estimate`]. The
-/// ledger shapes mirror the real kernels' (DESIGN.md § "Tuning policy"
-/// documents each term); absolute accuracy matters less than ranking
-/// candidates consistently with the pipeline the bench sweeps measure.
-fn shard_pipeline_passes(
+/// Modeled kernel records of one shard's compress pipeline: the
+/// histogram, codebook and encode kernels' own launches and ledgers
+/// ([`histogram::gpu::launches`], [`codebook::gpu::launches`],
+/// [`encode::gpu::launches`]), fed counters estimated from the signature.
+/// The estimates are what only the tuner knows: `m/64` warp-serialized
+/// histogram conflicts, meld rounds ≈ the code depth, every unit's word
+/// moved at each of the `M − r` shuffle levels, and the breaking fraction
+/// from Fig. 3's window — the expected merged width `β·2^r` breaks no unit
+/// up to 24 bits and every unit from 32.
+fn shard_records(
     sig: &Signature,
     spec: &DeviceSpec,
     r: u32,
-    shard_symbols: u64,
+    m: u64,
     plan: KernelPlan,
 ) -> Vec<KernelRecord> {
-    let m = shard_symbols.max(1);
-    let sym_b = u64::from(sig.symbol_bytes);
     let k = u64::from(sig.coded_symbols.max(2));
     let depth = u64::from(sig.max_bits.max(1));
-    let hist_blocks = u64::from(spec.sm_count) * 8;
-    let mut passes = Vec::new();
-
-    // Histogram, blockwise: stream the shard into privatized
-    // shared-memory bins; conflicts rise with skew. Under the fused plan
-    // the blocks (half as many, striding twice the data each) commit
-    // their replicas straight into the global histogram as coalesced
-    // atomic RMW, absorbing the gridwise fold into the same pass.
-    let mut hist = Traffic::new();
-    hist.read(Access::Coalesced, m, sym_b);
-    hist.shared_atomic(m, m / 64);
-    hist.ops(2 * m);
-    if plan.fused_histogram {
-        let committing = hist_blocks / 2;
-        hist.global_atomic_coalesced(committing * k, 4, committing);
-        hist.ops(committing * k);
-        passes.push(pass_record(spec, "tune_hist_fused", hist, hist_blocks * 1024, true));
-    } else {
-        passes.push(pass_record(spec, "tune_hist_block", hist, hist_blocks * 1024, true));
-
-        // Histogram, gridwise: fold the per-block partial histograms.
-        let mut grid = Traffic::new();
-        grid.read(Access::Coalesced, hist_blocks * k, 8);
-        grid.write(Access::Coalesced, k, 8);
-        grid.ops(hist_blocks * k);
-        passes.push(pass_record(spec, "tune_hist_grid", grid, k, true));
-    }
-
-    // Codebook sort: tiny key-value sort over the alphabet.
-    let mut sort = Traffic::new();
-    sort.grid_sync();
-    sort.ops(4 * k);
-    passes.push(pass_record(spec, "tune_book_sort", sort, 1, true));
-
-    // GenerateCL: one meld round per tree level, five grid-sync'd regions
-    // per round — the sync chain scales with the *code depth*, not the
-    // alphabet, which is why a skewed alphabet (deep tree) pays more here
-    // than a wide flat one.
-    let mut cl = Traffic::new();
-    for _ in 0..5 * depth {
-        cl.grid_sync();
-    }
-    cl.ops(16 * k * depth);
-    passes.push(pass_record(spec, "tune_book_cl", cl, 1, true));
-
-    // GenerateCW + canonize: one sync'd pass per code level plus fixup.
-    let mut cw = Traffic::new();
-    for _ in 0..2 + (8 * depth) / 5 {
-        cw.grid_sync();
-    }
-    cw.ops(6 * k);
-    passes.push(pass_record(spec, "tune_book_cw", cw, 1, true));
-
-    // Reduce-merge: codeword lookup from shared, 2^r-way merge per unit.
-    let units = (m >> r.min(20)).max(1);
-    let mut reduce = Traffic::new();
-    reduce.read(Access::Coalesced, m, 4);
-    reduce.write(Access::Coalesced, units, 4);
-    reduce.ops(6 * m);
-    passes.push(pass_record(spec, "tune_reduce", reduce, m, true));
-
-    // Shuffle-merge: one kernel, s = M - r sync'd densify levels over the
-    // units (shared-resident; global traffic once per level). The fused
-    // plan appends the chunk-length scan as a decoupled-lookback epilogue
-    // (no extra launch, no extra syncs).
+    let symbol_bytes = u64::from(sig.symbol_bytes);
+    let hist = HistCounters { n: m, bins: k, symbol_bytes, conflicts: m / 64 };
+    // Every round scans and updates the alphabet; about half of it is
+    // still unconsumed on average, and each round binary-searches one
+    // Merge-Path split per SM.
+    let cl = ClStats {
+        rounds: depth,
+        merged_elements: k,
+        melds: k / 2,
+        leaf_updates: depth * k,
+        selection_scans: depth * k / 2,
+        search_steps: depth * (u64::from(spec.sm_count) + 1) * u64::from(k.ilog2() + 1),
+    };
+    let unit = 1u64 << r.min(20);
+    let units = m.div_ceil(unit);
     let levels = u64::from(MAGNITUDE.saturating_sub(r).max(1));
-    let mut shuf = Traffic::new();
-    for _ in 0..levels {
-        shuf.grid_sync();
-    }
-    shuf.read(Access::Coalesced, units * levels, 2);
-    shuf.write(Access::Coalesced, units * levels, 2);
-    shuf.ops(3 * units * levels);
-    if plan.fused_len {
-        shuf.ops(2 * units);
-        passes.push(pass_record(spec, "tune_shuffle", shuf, m, true));
-    } else {
-        passes.push(pass_record(spec, "tune_shuffle", shuf, m, true));
-
-        // Chunk-length scan as its own launch.
-        let mut lens = Traffic::new();
-        lens.grid_sync();
-        lens.grid_sync();
-        lens.ops(2 * units);
-        passes.push(pass_record(spec, "tune_chunk_len", lens, units, true));
-    }
-
-    let payload_bytes = ((m as f64 * sig.avg_bits() / 8.0).max(1.0)) as u64;
-    let mut copy = Traffic::new();
-    copy.read(Access::Coalesced, payload_bytes, 1);
-    copy.write(Access::Coalesced, payload_bytes, 1);
-    copy.ops(payload_bytes / 4);
-    passes.push(pass_record(spec, "tune_copy", copy, m, true));
-
-    // Breaking backtrace: units whose r-times-merged codeword overflows
-    // the 32-bit word go to the sparse sidecar (strided scatter of the
-    // raw symbols). The expected merged width β·2^r prices the risk: no
-    // penalty until ~24 bits, certain breaking at ≥ 32 (Fig. 3's window).
     let merged = entropy::expected_merged_bits(sig.avg_bits(), r);
-    let break_frac = ((merged - 24.0) / 8.0).clamp(0.0, 1.0);
-    let broken = (break_frac * units as f64) as u64;
-    let mut side = Traffic::new();
-    if plan.compacted_backtrace {
-        // Warp-aggregated compaction: coalesced segment writes, no
-        // device-wide barrier.
-        if broken > 0 {
-            side.write(Access::Coalesced, broken << r.min(20), 2);
-            side.ops(4 * (broken << r.min(20)));
-            side.diverge(2.0);
-        }
-    } else {
-        side.grid_sync();
-        if broken > 0 {
-            side.write(Access::Strided, broken << r.min(20), 2);
-            side.ops(4 * (broken << r.min(20)));
-            side.diverge(2.0);
-        }
+    let broken = (((merged - 24.0) / 8.0).clamp(0.0, 1.0) * units as f64) as u64;
+    let enc = EncodeCounters {
+        symbols: m,
+        symbol_bytes,
+        chunks: m.div_ceil(1 << MAGNITUDE),
+        units,
+        book_bytes: 8 * k,
+        words_moved: units * levels,
+        shuffle_iters: levels,
+        payload_bytes: (m as f64 * sig.avg_bits() / 8.0).max(1.0) as u64,
+        breaking_units: broken,
+        breaking_symbols: broken * unit,
+    };
+    let gpu = Gpu::new(spec.clone());
+    let book = codebook::gpu::launches(k, &cl, sig.max_bits.max(1));
+    for launch in histogram::gpu::launches(spec, &hist, plan)
+        .iter()
+        .chain(&book)
+        .chain(&encode::gpu::launches(spec, &enc, plan))
+    {
+        gpu.charge(launch);
     }
-    passes.push(pass_record(spec, "tune_breaking", side, (broken << r.min(20)).max(1), true));
-    passes
+    gpu.clock().drain()
 }
 
 /// Modeled makespan of `shards` shard pipelines overlapped across
@@ -491,45 +396,48 @@ pub fn geometry_seconds(
     plan: KernelPlan,
 ) -> f64 {
     let n = sig.representative_symbols();
-    let per_shard = n.div_ceil(u64::from(shards)).max(1);
+    let records = shard_records(sig, spec, r, n.div_ceil(u64::from(shards)).max(1), plan);
     let mut sched = StreamSchedule::new(spec.clone(), streams.max(1) as usize);
     for k in 0..shards {
-        let stream = (k % streams.max(1)) as usize;
-        sched.enqueue_all(stream, shard_pipeline_passes(sig, spec, r, per_shard, plan));
+        sched.enqueue_all((k % streams.max(1)) as usize, records.iter().cloned());
     }
     sched.run().makespan
 }
 
-/// Pick the decode backend for a signature by the same ledger comparison
-/// that located the ~3-avg-bit LUT crossover (the
-/// `per_bit_vs_per_symbol_decode_shapes_cross_over` recipe in
-/// `gpu_sim::cost`): a bit-serial chunked kernel's compute term scales
-/// with payload *bits*, the LUT pipeline's with *symbols* plus a
-/// sync-pass launch. Returns [`DecoderKind::Lut`] when the LUT pipeline
-/// models faster, else [`DecoderKind::Chunked`].
+/// Pick the decode backend for a signature by pricing `decode::gpu`'s own
+/// chunked and LUT ledgers on a stream of the signature's shape: a
+/// bit-serial chunked kernel's compute term scales with payload *bits*,
+/// the LUT pipeline's with *symbols* plus a sync-pass launch, so the LUT
+/// wins above roughly 3 average bits. The LUT counters take
+/// [`GapStats::estimate`]'s shape: two sync passes, one step and one probe
+/// per symbol. Returns [`DecoderKind::Lut`] when the LUT pipeline models
+/// faster, else [`DecoderKind::Chunked`].
 pub fn choose_decoder(sig: &Signature, spec: &DeviceSpec) -> DecoderKind {
     let n = sig.representative_symbols();
-    let bits = (n as f64 * sig.avg_bits()) as u64;
-
-    let mut serial = Traffic::new();
-    serial.read(Access::Coalesced, bits / 8, 1);
-    serial.write(Access::Coalesced, n, 2);
-    serial.ops(6 * bits);
-    serial.diverge(2.0);
-    let bit_serial = cost::estimate(spec, &serial, true).total;
-
-    let mut sync = Traffic::new();
-    sync.read(Access::Strided, bits / 256, 32);
-    sync.ops(5 * 2 * n);
-    sync.diverge(2.0);
-    let mut dec = Traffic::new();
-    dec.read(Access::Coalesced, bits / 8, 1);
-    dec.write(Access::Coalesced, n, 2);
-    dec.ops(8 * n);
-    dec.diverge(1.2);
-    let lut = cost::estimate(spec, &sync, true).total + cost::estimate(spec, &dec, true).total;
-
-    if lut < bit_serial {
+    let chunk_symbols = 1u64 << MAGNITUDE;
+    let shape = StreamShape {
+        symbols: n,
+        total_bits: (n as f64 * sig.avg_bits()) as u64,
+        chunks: n.div_ceil(chunk_symbols),
+    };
+    let cfg = SubchunkConfig::default();
+    let chunk_bits = (chunk_symbols as f64 * sig.avg_bits()) as u64;
+    let stats = GapStats {
+        subsequences: shape.chunks * chunk_bits.div_ceil(cfg.width_bits),
+        max_sync_passes: 2,
+        sync_steps: n,
+        decoded_symbols: n,
+    };
+    // The reverse codebook plus `First`/`Entry` over the code depth; the
+    // LUT indexes at most DEFAULT_LUT_BITS bits.
+    let depth = u64::from(sig.max_bits);
+    let table_bytes = 2 * u64::from(sig.coded_symbols) + 8 * (depth + 1) + 4 * (depth + 2);
+    let lut_bytes = 4u64 << sig.max_bits.clamp(1, lut::DEFAULT_LUT_BITS);
+    let secs = |t: &Traffic| cost::estimate(spec, t, true).total;
+    let chunked = secs(&decode::gpu::chunked_ledger(spec, &shape, table_bytes));
+    let lut: f64 =
+        decode::gpu::lut_ledgers(spec, &shape, &stats, cfg, lut_bytes).iter().map(secs).sum();
+    if lut < chunked {
         DecoderKind::Lut
     } else {
         DecoderKind::Chunked
@@ -554,13 +462,11 @@ pub fn choose_decoder(sig: &Signature, spec: &DeviceSpec) -> DecoderKind {
 pub fn plan(sig: &Signature, spec: &DeviceSpec) -> Decision {
     let n = sig.representative_symbols();
 
-    // 1. Incompressible: store raw — a modeled device-side memcpy.
+    // 1. Incompressible: store raw — a device-side memcpy, priced as the
+    // encoder's coalescing copy.
     if sig.incompressibility() >= STORE_RAW_THRESHOLD {
         let bytes = n * u64::from(sig.symbol_bytes);
-        let mut copy = Traffic::new();
-        copy.read(Access::Coalesced, bytes, 1);
-        copy.write(Access::Coalesced, bytes, 1);
-        let secs = cost::estimate(spec, &copy, true).total;
+        let secs = cost::estimate(spec, &encode::gpu::copy_ledger(bytes, 0), true).total;
         return Decision {
             dispatch: Dispatch::StoreRaw,
             reduction: 0,
@@ -589,17 +495,18 @@ pub fn plan(sig: &Signature, spec: &DeviceSpec) -> Decision {
         };
     }
 
-    // 3. Geometry × plan sweep. The fixed CLI default — Fig. 3's r,
-    // 4 Mi-symbol shards, 2 streams, fused kernels (BatchOptions::new) —
-    // anchors the comparison.
+    // 3. Geometry sweep under the fused kernels, which model faster than
+    // the unfused plan on every workload. The fixed CLI default — Fig. 3's
+    // r, 4 Mi-symbol shards, 2 streams (BatchOptions::new) — anchors the
+    // comparison.
+    let plan = KernelPlan::default();
     let default_shards = u32::try_from(n.div_ceil(1 << 22))
         .unwrap_or(u32::MAX)
         .clamp(1, *SHARD_CANDIDATES.last().unwrap());
-    let default = (r0, default_shards, 2u32, KernelPlan::default());
-    let default_secs = geometry_seconds(sig, spec, r0, default_shards, 2, KernelPlan::default());
+    let default = (r0, default_shards, 2u32);
+    let default_secs = geometry_seconds(sig, spec, r0, default_shards, 2, plan);
 
-    let mut best = default;
-    let mut best_secs = default_secs;
+    let mut best = (default, default_secs);
     for dr in [-1i64, 0, 1] {
         let r = (i64::from(r0) + dr).clamp(1, i64::from(MAGNITUDE) - 1) as u32;
         for &shards in &SHARD_CANDIDATES {
@@ -607,27 +514,21 @@ pub fn plan(sig: &Signature, spec: &DeviceSpec) -> Decision {
                 continue;
             }
             for &streams in &STREAM_CANDIDATES {
-                for plan in [KernelPlan::fused(), KernelPlan::unfused()] {
-                    let secs = geometry_seconds(sig, spec, r, shards, streams, plan);
-                    if secs < best_secs {
-                        best = (r, shards, streams, plan);
-                        best_secs = secs;
-                    }
+                let secs = geometry_seconds(sig, spec, r, shards, streams, plan);
+                if secs < best.1 {
+                    best = ((r, shards, streams), secs);
                 }
             }
         }
     }
     // Hysteresis: deviate from the default only on a clear modeled win.
-    let (r, shards, streams, plan, secs) = if best_secs < default_secs * (1.0 - GEOMETRY_HYSTERESIS)
-    {
-        (best.0, best.1, best.2, best.3, best_secs)
-    } else {
-        (default.0, default.1, default.2, default.3, default_secs)
-    };
-
+    if best.1 >= default_secs * (1.0 - GEOMETRY_HYSTERESIS) {
+        best = (default, default_secs);
+    }
+    let ((reduction, shards, streams), secs) = best;
     Decision {
         dispatch: Dispatch::Gpu,
-        reduction: r,
+        reduction,
         shards,
         streams,
         decoder: choose_decoder(sig, spec),
@@ -672,14 +573,11 @@ pub fn compress_with_decision(
             archive::compress(symbols, &opts)
         }
         Dispatch::Gpu => {
-            let mut opts = BatchOptions::new(num_symbols);
-            opts.shard_symbols = symbols.len().div_ceil(decision.shards.max(1) as usize).max(1);
-            opts.streams = decision.streams.max(1) as usize;
-            opts.devices = devices.to_vec();
-            opts.reduction = Some(decision.reduction.max(1));
-            opts.symbol_bytes = symbol_bytes;
-            opts.plan = decision.plan;
-            let (frame, _) = batch::compress_batched(symbols, &opts)?;
+            let mut base = BatchOptions::new(num_symbols);
+            base.devices = devices.to_vec();
+            base.symbol_bytes = symbol_bytes;
+            let (frame, _) =
+                batch::compress_batched(symbols, &decision.batch_options(base, symbols.len()))?;
             Ok(frame)
         }
     }
